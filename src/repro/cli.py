@@ -30,14 +30,16 @@ Commands
         python -m repro perf --scale 14 --ranks 16 --out BENCH_simulator.json
 
 ``faults``
-    Run the fault-injection scenario campaign (crash/recovery,
-    transient retries, bit-flip detection, stragglers) and report
-    whether every faulted run recovered to the fault-free answer::
+    Run one graded fault campaign — ``basic`` (crash/recovery,
+    transient retries, bit-flip detection, stragglers) by default, or
+    ``--elastic``, ``--autoscale`` or ``--sdc`` — and report whether
+    every faulted run recovered to the fault-free answer::
 
         python -m repro faults --dataset FR --ranks 4
         python -m repro faults --scenario crash-recover --algos BFS,PR
+        python -m repro faults --sdc --executor threads:4
 
-    Exits nonzero when any scenario ends unrecovered or diverged.
+    Exits nonzero when any case is not ok.
 
 ``info``
     Show the registered datasets, machines, and algorithms.
@@ -216,263 +218,88 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     import json
 
-    from .faults.scenarios import (
-        AUTOSCALE_SCENARIOS,
-        DEFAULT_AUTOSCALE_SCENARIOS,
-        DEFAULT_ELASTIC_SCENARIOS,
-        DEFAULT_SCENARIOS,
-        DEFAULT_SDC_SCENARIOS,
-        ELASTIC_RUNNERS,
-        ELASTIC_SCENARIOS,
-        RUNNERS,
-        SCENARIOS,
-        SDC_RUNNERS,
-        SDC_SCENARIOS,
-        WEIGHTED_ALGOS,
-        run_autoscale_campaign,
-        run_campaign,
-        run_elastic_campaign,
-        run_sdc_campaign,
-    )
+    from .faults.scenarios import KINDS, WEIGHTED_ALGOS, run_campaign, select_cases
 
-    # --elastic / --autoscale / --sdc conflicts are rejected by the
-    # parser's mutually-exclusive group (argparse exits 2 with usage).
-    if args.sdc:
-        runners = SDC_RUNNERS
-    elif args.elastic or args.autoscale:
-        runners = ELASTIC_RUNNERS
-    else:
-        runners = RUNNERS
-    algos = (
-        [a.strip().upper() for a in args.algos.split(",")]
-        if args.algos
-        else sorted(runners)
+    # --elastic / --autoscale / --sdc only pick the campaign kind; the
+    # parser's mutually-exclusive group rejects combinations (exit 2).
+    kind = next(
+        (k for k in ("elastic", "autoscale", "sdc") if getattr(args, k)), "basic"
     )
-    for algo in algos:
-        if algo not in runners:
-            print(f"unknown algorithm {algo!r}; choose from {sorted(runners)}")
-            return 2
-    if args.sdc:
-        known = SDC_SCENARIOS
-        defaults = DEFAULT_SDC_SCENARIOS
-    elif args.autoscale:
-        known = AUTOSCALE_SCENARIOS
-        defaults = DEFAULT_AUTOSCALE_SCENARIOS
-    elif args.elastic:
-        known = ELASTIC_SCENARIOS
-        defaults = DEFAULT_ELASTIC_SCENARIOS
-    else:
-        known = SCENARIOS
-        defaults = DEFAULT_SCENARIOS
-    if args.scenario != "all" and args.scenario not in known:
-        mode = (
-            "--sdc"
-            if args.sdc
-            else (
-                "--autoscale"
-                if args.autoscale
-                else ("--elastic" if args.elastic else "non-elastic")
-            )
+    try:
+        algos, scenarios = select_cases(
+            kind,
+            [a.strip().upper() for a in args.algos.split(",")] if args.algos else None,
+            None if args.scenario == "all" else [args.scenario],
         )
-        print(
-            f"scenario {args.scenario!r} is not a {mode} scenario; "
-            f"choose from {sorted(known)}"
-        )
+    except ValueError as exc:
+        print(exc)
         return 2
-    scenarios = list(defaults) if args.scenario == "all" else [args.scenario]
-    # Elastic campaigns need headroom to shrink: default to a 12-rank
-    # grid so a 4x3 layout can lose ranks and still factor usefully.
-    # Autoscale campaigns default to 4 so the demote-then-grow-back
-    # round trip is 2x2 -> 1x3 -> 2x2 (back to the original grid).
-    # SDC campaigns also default to 4: the integrity ledger needs
-    # replicated windows on both grid axes (R >= 2 and C >= 2).
-    if args.ranks is not None:
-        ranks = args.ranks
-    elif args.elastic:
-        ranks = 12
-    else:
-        ranks = 4
+    ranks = args.ranks if args.ranks is not None else KINDS[kind]["ranks"]
     ds = load(args.dataset, target_edges=args.target_edges, seed=args.seed)
     print(ds.note)
 
-    def fresh_engine():
-        return make_engine(
-            ds,
-            ranks,
-            cluster=_CLUSTERS[args.cluster],
-            executor=args.executor,
+    def factory(dataset):
+        return lambda: make_engine(
+            dataset, ranks, cluster=_CLUSTERS[args.cluster], executor=args.executor
         )
 
-    if args.sdc:
-        weighted_engine = None
-        if any(a in WEIGHTED_ALGOS for a in algos):
-            dsw = load(
+    weighted = None
+    if any(a in WEIGHTED_ALGOS for a in algos):
+        weighted = factory(
+            load(
                 args.dataset,
                 target_edges=args.target_edges,
                 seed=args.seed,
                 weighted=True,
             )
-
-            def weighted_engine():
-                return make_engine(
-                    dsw,
-                    ranks,
-                    cluster=_CLUSTERS[args.cluster],
-                    executor=args.executor,
-                )
-
-        report = run_sdc_campaign(
-            fresh_engine,
-            algos=algos,
-            scenarios=scenarios,
-            max_retries=args.max_retries,
-            make_weighted_engine=weighted_engine,
         )
-        header = (
-            f"{'scenario':>18} {'algo':>5} {'status':>10} {'detected':>9} "
-            f"{'values':>7} {'clocks':>7} {'repairs':>8} {'certify[s]':>11}"
-        )
-        print(header)
-        print("-" * len(header))
-        for c in report["cases"]:
-            print(
-                f"{c['scenario']:>18} {c['algo']:>5} {c['status']:>10} "
-                f"{str(c['detected']):>9} {str(c['values_equal']):>7} "
-                f"{str(c['clocks_equal']):>7} {c['repairs']:>8} "
-                f"{c['certify_s']:>11.3e}"
-            )
-        print()
-        print(
-            f"{report['total']} cases: "
-            f"{report['total'] - report['failed']} ok, "
-            f"{report['failed']} failed "
-            f"({report['undetected']} undetected, "
-            f"{report['unrepaired']} unrepaired), "
-            f"{report['repairs']} repairs"
-        )
-        if report["skipped"]:
-            skipped = ", ".join(
-                f"{s['algo']}@{s['scenario']}" for s in report["skipped"]
-            )
-            print(f"skipped (no weighted graph): {skipped}")
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"wrote {out}")
-        return 1 if report["failed"] else 0
-
-    if args.autoscale:
-        report = run_autoscale_campaign(
-            fresh_engine,
-            algos=algos,
-            scenarios=scenarios,
-            checkpoint_interval=args.checkpoint_interval,
-            max_retries=args.max_retries,
-        )
-        header = (
-            f"{'scenario':>26} {'algo':>5} {'status':>10} {'values':>7} "
-            f"{'regrids':>8} {'dem/grow/hold':>13} {'grids':>20} "
-            f"{'regrid[s]':>11}"
-        )
-        print(header)
-        print("-" * len(header))
-        for c in report["cases"]:
-            values = (
-                "exact"
-                if c["values_equal"]
-                else ("~ulp" if c["values_close"] else "DIFF")
-            )
-            trail = "->".join(f"{r}x{cc}" for r, cc in c["grid_trail"])
-            dgh = f"{c['n_demotions']}/{c['n_grows']}/{c['n_holds']}"
-            print(
-                f"{c['scenario']:>26} {c['algo']:>5} {c['status']:>10} "
-                f"{values:>7} {c['n_regrids']:>8} {dgh:>13} {trail:>20} "
-                f"{c['regrid_s']:>11.3e}"
-            )
-        print()
-        print(
-            f"{report['total']} cases: "
-            f"{report['total'] - report['failed']} ok, "
-            f"{report['failed']} failed "
-            f"({report['unrecovered']} unrecovered, "
-            f"{report['diverged']} diverged), "
-            f"{report['demotions']} demotions, {report['grows']} grows, "
-            f"{report['holds']} holds"
-        )
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"wrote {out}")
-        return 1 if report["failed"] else 0
-
-    if args.elastic:
-        report = run_elastic_campaign(
-            fresh_engine,
-            algos=algos,
-            scenarios=scenarios,
-            checkpoint_interval=args.checkpoint_interval,
-            max_retries=args.max_retries,
-        )
-        header = (
-            f"{'scenario':>24} {'algo':>5} {'status':>12} {'values':>7} "
-            f"{'regrids':>8} {'grids':>20} {'regrid[s]':>11} {'frac':>6}"
-        )
-        print(header)
-        print("-" * len(header))
-        for c in report["cases"]:
-            values = (
-                "exact"
-                if c["values_equal"]
-                else ("~ulp" if c["values_close"] else "DIFF")
-            )
-            trail = "->".join(f"{r}x{cc}" for r, cc in c["grid_trail"])
-            print(
-                f"{c['scenario']:>24} {c['algo']:>5} {c['status']:>12} "
-                f"{values:>7} {c['n_regrids']:>8} {trail:>20} "
-                f"{c['regrid_s']:>11.3e} {c['regrid_fraction']:>6.1%}"
-            )
-        print()
-        print(
-            f"{report['total']} cases: "
-            f"{report['total'] - report['failed']} ok, "
-            f"{report['failed']} failed "
-            f"({report['unrecovered']} unrecovered, "
-            f"{report['diverged']} diverged), "
-            f"{report['regrids']} regrids"
-        )
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"wrote {out}")
-        return 1 if report["failed"] else 0
-
     report = run_campaign(
-        fresh_engine,
+        factory(ds),
+        kind,
         algos=algos,
         scenarios=scenarios,
         checkpoint_interval=args.checkpoint_interval,
         max_retries=args.max_retries,
+        make_weighted_engine=weighted,
     )
+
+    def mark(equal, close=False):
+        if equal is None:
+            return "-"
+        return "exact" if equal else ("~ulp" if close else "DIFF")
+
     header = (
-        f"{'scenario':>18} {'algo':>5} {'status':>12} {'values':>7} "
-        f"{'clocks':>7} {'events':>7} {'recovery[s]':>12}"
+        f"{'scenario':>25} {'algo':>5} {'status':>11} {'values':>6} "
+        f"{'clocks':>6} {'events':>6} {'regrids':>7} {'dem/grow/hold':>13} "
+        f"{'repairs':>7} {'grids':>16} {'recovery[s]':>11} {'regrid[s]':>10}"
     )
     print(header)
     print("-" * len(header))
     for c in report["cases"]:
+        trail = "->".join(f"{r}x{cc}" for r, cc in c["grid_trail"])
+        dgh = f"{c['demotions']}/{c['grows']}/{c['holds']}"
         print(
-            f"{c['scenario']:>18} {c['algo']:>5} {c['status']:>12} "
-            f"{str(c['values_equal']):>7} {str(c['clocks_equal']):>7} "
-            f"{c['n_fault_events']:>7} {c['recovery_s']:>12.3e}"
+            f"{c['scenario']:>25} {c['algo']:>5} {c['status']:>11} "
+            f"{mark(c['values_equal'], c['values_close']):>6} "
+            f"{mark(c['clocks_equal']):>6} {c['n_fault_events']:>6} "
+            f"{c['regrids']:>7} {dgh:>13} {c['repairs']:>7} {trail:>16} "
+            f"{c['recovery_s']:>11.3e} {c['regrid_s']:>10.3e}"
         )
     print()
-    print(
-        f"{report['total']} cases: {report['total'] - report['failed']} ok, "
-        f"{report['failed']} failed ({report['unrecovered']} unrecovered)"
+    tallies = ", ".join(
+        f"{report[k]} {k}"
+        for k in ("recovered", "regrids", "demotions", "grows", "holds", "repairs")
+        if report[k]
     )
+    print(
+        f"{report['total']} {kind} cases: "
+        f"{report['total'] - report['failed']} ok, {report['failed']} failed "
+        f"({report['unrecovered']} unrecovered, {report['diverged']} diverged)"
+        + (f"; {tallies}" if tallies else "")
+    )
+    if report["skipped"]:
+        skipped = ", ".join(f"{s['algo']}@{s['scenario']}" for s in report["skipped"])
+        print(f"skipped (no weighted graph): {skipped}")
     if args.out:
         out = pathlib.Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -594,12 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faults", help="fault-injection scenario campaign with recovery checks"
     )
-    from .faults.scenarios import AUTOSCALE_SCENARIOS as _AUTOSCALE_SCENARIOS
-    from .faults.scenarios import ELASTIC_SCENARIOS as _ELASTIC_SCENARIOS
+    from .faults.scenarios import KINDS as _FAULT_KINDS
     from .faults.scenarios import RUNNERS as _FAULT_RUNNERS
     from .faults.scenarios import SCENARIOS as _FAULT_SCENARIOS
-    from .faults.scenarios import SDC_RUNNERS as _SDC_RUNNERS
-    from .faults.scenarios import SDC_SCENARIOS as _SDC_SCENARIOS
 
     # The campaigns are alternatives: exactly one (or none, for the
     # plain crash/retry campaign) may be selected.  argparse enforces
@@ -625,30 +449,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--scenario", default="all",
-        choices=["all"]
-        + sorted(_FAULT_SCENARIOS)
-        + sorted(_ELASTIC_SCENARIOS)
-        + sorted(_AUTOSCALE_SCENARIOS)
-        + sorted(_SDC_SCENARIOS),
-        help="one scenario, or 'all' for the default campaign "
-             "(excludes the deliberately-failing crash-unrecovered); "
-             "with --elastic/--autoscale/--sdc, one of that campaign's "
-             "scenarios",
+        choices=["all"] + sorted(_FAULT_SCENARIOS),
+        help="one scenario of the selected campaign, or 'all' for its "
+             "default set (the deliberately-failing crash-unrecovered "
+             "must be named explicitly)",
     )
     faults.add_argument(
         "--algos", default=None,
-        help="comma-separated algorithms (default: every algorithm the "
-             "selected campaign supports; resume-capable: "
-             + ", ".join(sorted(_FAULT_RUNNERS))
-             + "; --sdc adds " + ", ".join(
-                 sorted(set(_SDC_RUNNERS) - set(_FAULT_RUNNERS))) + ")",
+        help="comma-separated algorithms (default: "
+             + "; ".join(
+                 f"{k}: {','.join(v['algos'])}" for k, v in _FAULT_KINDS.items()
+             )
+             + "; choose from " + ", ".join(sorted(_FAULT_RUNNERS)) + ")",
     )
     faults.add_argument("--dataset", default="FR")
     faults.add_argument(
         "--ranks", type=int, default=None,
-        help="grid size (default 4; 12 with --elastic so shrinks "
-             "have factor-pair headroom; 4 with --autoscale so the "
-             "demote/grow round trip returns to the original 2x2)",
+        help="grid size (default: "
+             + ", ".join(f"{k} {v['ranks']}" for k, v in _FAULT_KINDS.items())
+             + ")",
     )
     faults.add_argument("--cluster", choices=sorted(_CLUSTERS), default="aimos")
     faults.add_argument("--target-edges", type=int, default=1 << 12)

@@ -465,9 +465,6 @@ class Engine:
         :class:`~repro.faults.checkpoint.CheckpointManager`."""
         self._checkpoints = manager
 
-    def detach_checkpoints(self) -> None:
-        self._checkpoints = None
-
     @property
     def checkpoints(self):
         return self._checkpoints
@@ -479,9 +476,6 @@ class Engine:
         """
         self._health = monitor
         monitor.bind(self)
-
-    def detach_health(self) -> None:
-        self._health = None
 
     @property
     def health(self):
@@ -496,9 +490,6 @@ class Engine:
         :class:`~repro.faults.injector.SpareArrival`."""
         self._autoscaler = controller
 
-    def detach_autoscaler(self) -> None:
-        self._autoscaler = None
-
     def attach_integrity(self, ledger) -> None:
         """Verify state-array integrity at superstep boundaries;
         ``ledger`` is a
@@ -506,9 +497,6 @@ class Engine:
         runs *after* planned memflips land and *before* the boundary's
         checkpoint is saved, so saved checkpoints are verified-good."""
         self._integrity = ledger
-
-    def detach_integrity(self) -> None:
-        self._integrity = None
 
     @property
     def integrity(self):
@@ -532,10 +520,6 @@ class Engine:
         Events should carry a ``"superstep"`` key so the trace recorder
         can attach them to the right iteration row."""
         self._regrid_events.append(event)
-
-    # Backwards-compatible name from the elastic-recovery PR; regrid
-    # events were the only recorded kind before the health subsystem.
-    record_regrid = record_event
 
     def rebuild_on_grid(self, grid: Grid2D) -> "Engine":
         """Build a fresh engine for the same graph on a new grid.

@@ -25,9 +25,10 @@ The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
   the replicated-window :class:`IntegrityLedger`, per-algorithm
   result certifiers, and checkpoint-rollback repair of detected
   corruption (``memflip`` faults);
-* :mod:`repro.faults.scenarios` — the named scenario campaigns behind
-  ``python -m repro faults`` (``--elastic``, ``--autoscale``,
-  ``--sdc``).
+* :mod:`repro.faults.scenarios` — the graded fault campaigns behind
+  ``python -m repro faults``: one scenario table covering the
+  ``basic``, ``elastic``, ``autoscale`` and ``sdc`` kinds, one case runner,
+  one grader.
 """
 
 from .checkpoint import (
@@ -71,25 +72,15 @@ from .integrity import (
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec
 from .resilient import ResilientCommunicator
 from .scenarios import (
-    AUTOSCALE_SCENARIOS,
-    SDC_RUNNERS,
-    SDC_SCENARIOS,
-    SdcCaseResult,
-    run_sdc_campaign,
-    run_sdc_case,
-    ELASTIC_RUNNERS,
-    ELASTIC_SCENARIOS,
+    KINDS,
     RUNNERS,
     SCENARIOS,
-    AutoscaleCaseResult,
+    WEIGHTED_ALGOS,
     CaseResult,
-    ElasticCaseResult,
-    run_autoscale_campaign,
-    run_autoscale_case,
+    Scenario,
     run_campaign,
     run_case,
-    run_elastic_campaign,
-    run_elastic_case,
+    select_cases,
 )
 
 __all__ = [
@@ -122,20 +113,15 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "ResilientCommunicator",
-    "RUNNERS",
+    "KINDS",
     "SCENARIOS",
-    "ELASTIC_RUNNERS",
-    "ELASTIC_SCENARIOS",
-    "AUTOSCALE_SCENARIOS",
+    "RUNNERS",
+    "WEIGHTED_ALGOS",
+    "Scenario",
     "CaseResult",
-    "ElasticCaseResult",
-    "AutoscaleCaseResult",
-    "run_campaign",
+    "select_cases",
     "run_case",
-    "run_elastic_campaign",
-    "run_elastic_case",
-    "run_autoscale_campaign",
-    "run_autoscale_case",
+    "run_campaign",
     "IntegrityLedger",
     "IntegrityViolation",
     "IntegrityFailure",
@@ -145,9 +131,4 @@ __all__ = [
     "certify_sssp",
     "certify_cc",
     "certify_pagerank",
-    "SDC_SCENARIOS",
-    "SDC_RUNNERS",
-    "SdcCaseResult",
-    "run_sdc_campaign",
-    "run_sdc_case",
 ]

@@ -525,7 +525,7 @@ class ElasticRecovery:
             "spare": spare,
             "reason": getattr(failure, "fault_kind", "crash"),
         }
-        new_engine.record_regrid(event)
+        new_engine.record_event(event)
         self.events.append(event)
         return new_engine
 

@@ -1,507 +1,217 @@
-"""Fault scenario campaign: named fault plans + recovery validation.
+"""Graded fault campaigns: one scenario table, one case runner, one grader.
 
-Each scenario is a small, fixed :class:`~repro.faults.plan.FaultPlan`
-exercising one failure mode end-to-end.  :func:`run_campaign` runs each
-(scenario, algorithm) pair twice on identically configured engines —
-once fault-free, once faulted — recovers from crashes via the
-checkpoint machinery, and grades the outcome:
+Every named scenario is data — a :class:`Scenario` row in
+:data:`SCENARIOS` naming its campaign ``kind``, its
+:class:`~repro.faults.plan.FaultPlan`, the protection both runs carry
+(checkpoints, an integrity ledger, result certification), the recovery
+object the faulted run gets, and the counts a healthy recovery must
+produce.  The four kinds (:data:`KINDS`) are
 
-``recovered``
-    The run crashed, resumed from the latest checkpoint, and finished.
-    For crash scenarios the resumed run must be **bit-identical** to
-    the fault-free reference — same values, same communication
-    counters, same virtual clocks — because a crash aborts a collective
-    *before* it charges anything, and restore rewinds to the previous
-    superstep boundary exactly.
+``basic``
+    crash-and-resume, transient retries, checksum-caught wire
+    corruption, stragglers;
+``elastic``
+    permanent rank loss, regridded onto the survivors or a hot spare;
+``autoscale``
+    the health watchdog demotes chronic stragglers and the grid grows
+    back onto arriving spares;
+``sdc``
+    silent memory bit flips caught by the integrity ledger and
+    repaired by checkpoint rollback.
+
+:func:`run_case` runs one (scenario, algorithm) pair twice on
+identically configured engines — once fault-free, once faulted, both
+with the scenario's protection so checkpoint-drain, digest-exchange
+and certifier charges cancel out of the comparison — and grades it:
+
 ``completed``
-    The run absorbed its faults (retries, stalls) without crashing.
-    Values must still match the reference bit-for-bit; virtual time is
-    allowed to differ — recovery cost is the measurement, surfaced as
-    ``recovery_s``.
+    The run absorbed its faults (retries, stalls, held spares) without
+    a resume, regrid or repair.
+``recovered``
+    The run resumed from a checkpoint after a crash or a detected
+    corruption, or regridded onto a new rank set, and finished.
 ``unrecovered``
-    The run crashed with no checkpoint to resume from.  This is the
-    failing grade: the campaign (and the ``python -m repro faults``
-    CLI) reports nonzero when any case ends here.
+    The run could not come back: no checkpoint to resume from, or a
+    regrid / repair budget ran out.  Always a failing grade.
 ``diverged``
-    The faulted run finished but produced different values — the fault
+    The faulted run finished with different values — the fault
     machinery corrupted the computation.  Always a bug.
 
-Both runs attach the same :class:`CheckpointManager` configuration so
-checkpoint drain costs cancel out of the comparison.
+A case is ``ok`` when it completed or recovered, every ``expect``
+count matches, and — on ``exact`` scenarios — communication counters
+and every lane of :meth:`~repro.comm.clocks.VirtualClocks.per_rank_lanes`
+equal the reference.  Exactness holds for crash-resume and memflip
+repair because a crash aborts a collective *before* it charges
+anything and restore rewinds to a superstep boundary exactly.  Values
+must match bit-for-bit, except that PageRank may match within
+``rtol=1e-9`` after regridding onto a *different* grid: its sum
+reductions are sensitive to the operand grouping a new grid induces
+(see ``docs/ROBUSTNESS.md``).  A spare adoption keeps the grid, so it
+stays exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..algorithms import bfs, connected_components, pagerank, sssp
 from .checkpoint import CheckpointManager
 from .elastic import ElasticRecovery, ElasticUnrecoverable
-from .health import AutoscalePolicy, AutoscaleRecovery, DemotionPolicy, HealthMonitor
+from .health import AutoscalePolicy, AutoscaleRecovery, HealthMonitor
 from .injector import RankFailure
+from .integrity import IntegrityFailure, IntegrityLedger
 from .plan import FaultPlan, FaultSpec
 
 __all__ = [
+    "KINDS",
     "SCENARIOS",
     "RUNNERS",
+    "WEIGHTED_ALGOS",
+    "REPORT_SCHEMA",
+    "Scenario",
     "CaseResult",
+    "select_cases",
     "run_case",
     "run_campaign",
-    "ELASTIC_SCENARIOS",
-    "DEFAULT_ELASTIC_SCENARIOS",
-    "ELASTIC_RUNNERS",
-    "ElasticCaseResult",
-    "run_elastic_case",
-    "run_elastic_campaign",
-    "AUTOSCALE_SCENARIOS",
-    "DEFAULT_AUTOSCALE_SCENARIOS",
-    "AutoscaleCaseResult",
-    "run_autoscale_case",
-    "run_autoscale_campaign",
-    "SDC_SCENARIOS",
-    "DEFAULT_SDC_SCENARIOS",
-    "SDC_RUNNERS",
-    "WEIGHTED_ALGOS",
-    "SdcCaseResult",
-    "run_sdc_case",
-    "run_sdc_campaign",
 ]
 
-#: Named fault plans.  Supersteps are 1-based; ranks assume at least a
-#: 2x2 grid.  ``crash-unrecovered`` is the deliberate-failure scenario
-#: (run without checkpoints) and is therefore *not* part of the default
-#: campaign — select it explicitly to verify the failing exit path.
-SCENARIOS: dict[str, FaultPlan] = {
-    "crash-recover": FaultPlan([FaultSpec("crash", 2, rank=1)]),
-    "transient-retry": FaultPlan([FaultSpec("transient", 1, count=2)]),
-    "bitflip-detect": FaultPlan([FaultSpec("corruption", 2, bit=7)]),
-    "straggler-drag": FaultPlan(
-        [
-            FaultSpec("straggler", 1, rank=0, delay_s=5e-4),
-            FaultSpec("straggler", 2, rank=2, delay_s=1e-3),
-        ]
-    ),
-    "crash-unrecovered": FaultPlan([FaultSpec("crash", 2, rank=0)]),
+REPORT_SCHEMA = "repro.faults.campaign.v2"
+
+#: Default algorithms and grid size per campaign kind.  Elastic runs
+#: default to 12 ranks so a 3x4 grid can lose ranks and still factor
+#: usefully; autoscale runs to 4 so demote-then-grow-back round-trips
+#: 2x2 -> 1x3 -> 2x2; SDC runs to 4 because the integrity ledger needs
+#: replicated windows on both grid axes (R >= 2 and C >= 2).
+KINDS: dict[str, dict] = {
+    "basic": {"algos": ("BFS", "CC", "PR"), "ranks": 4},
+    "elastic": {"algos": ("BFS", "CC", "PR"), "ranks": 12},
+    "autoscale": {"algos": ("BFS", "CC", "PR"), "ranks": 4},
+    "sdc": {"algos": ("BFS", "CC", "PR", "SSSP"), "ranks": 4},
 }
 
-#: Scenarios included in a default (``--scenario all``) campaign.
-DEFAULT_SCENARIOS = (
-    "crash-recover",
-    "transient-retry",
-    "bitflip-detect",
-    "straggler-drag",
+
+@dataclass(frozen=True)
+class Scenario:
+    """One graded scenario.
+
+    ``recovery`` and ``ledger`` are zero-argument factories (each run
+    needs fresh objects); ``expect`` maps :class:`CaseResult` count
+    fields (``regrids``, ``rank_delta``, ``detected``) to the values a
+    healthy recovery produces.
+    """
+
+    kind: str
+    plan: FaultPlan
+    checkpointed: bool = True
+    recovery: Optional[Callable[[], ElasticRecovery]] = None
+    ledger: Optional[Callable[[], IntegrityLedger]] = None
+    certify: bool = False
+    exact: bool = False
+    expect: dict = field(default_factory=dict)
+
+
+_sdc = partial(
+    Scenario,
+    "sdc",
+    ledger=partial(IntegrityLedger, repair_budget=2),
+    certify=True,
+    exact=True,
 )
 
-#: Scenarios that run without a checkpoint manager attached.
-UNCHECKPOINTED = {"crash-unrecovered"}
-
-#: Resume-capable runners keyed by the paper's abbreviations.
-RUNNERS: dict[str, Callable[..., Any]] = {
-    "BFS": lambda engine, resume=False: bfs(engine, root=0, resume=resume),
-    "PR": lambda engine, resume=False: pagerank(
-        engine, iterations=10, resume=resume
+#: Every named scenario.  Supersteps are 1-based; ranks assume at least
+#: a 2x2 grid.  The autoscale rows are tuned to the campaign dataset on
+#: a 4-rank grid, where BFS — the shortest run — finishes in 3
+#: supersteps: two 2 s stalls against ~0.1 s/superstep natural deltas
+#: make a straggler chronic by boundary 2 at ``chronic_after=2``, and
+#: spares arrive by superstep 3, the last boundary every algorithm
+#: reaches.  SDC flips fire at superstep >= 2 with checkpoints at every
+#: boundary, so a verified-good checkpoint always exists to roll back to.
+SCENARIOS: dict[str, Scenario] = {
+    # Resumed from the superstep-1 checkpoint; bit-identical.
+    "crash-recover": Scenario(
+        "basic", FaultPlan([FaultSpec("crash", 2, rank=1)]), exact=True
     ),
-    "CC": lambda engine, resume=False: connected_components(
-        engine, resume=resume
+    "transient-retry": Scenario(
+        "basic", FaultPlan([FaultSpec("transient", 1, count=2)])
     ),
-}
-
-
-@dataclass
-class CaseResult:
-    """Outcome of one (scenario, algorithm) pair."""
-
-    scenario: str
-    algo: str
-    status: str  # recovered | completed | unrecovered | diverged
-    values_equal: Optional[bool] = None
-    counters_equal: Optional[bool] = None
-    clocks_equal: Optional[bool] = None
-    fault_events: list[dict] = field(default_factory=list)
-    recovery_s: float = 0.0
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("recovered", "completed") and (
-            self.values_equal is not False
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "values_equal": self.values_equal,
-            "counters_equal": self.counters_equal,
-            "clocks_equal": self.clocks_equal,
-            "n_fault_events": len(self.fault_events),
-            "fault_events": self.fault_events,
-            "recovery_s": self.recovery_s,
-            "error": self.error,
-        }
-
-
-def _values_of(result) -> Optional[np.ndarray]:
-    return result.values
-
-
-def run_case(
-    make_engine: Callable[[], Any],
-    algo: str,
-    scenario: str,
-    plan: Optional[FaultPlan] = None,
-    checkpoint_interval: int = 1,
-    max_retries: int = 4,
-) -> CaseResult:
-    """Run one (scenario, algorithm) pair and grade the outcome."""
-    if algo not in RUNNERS:
-        raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(RUNNERS)}")
-    if plan is None:
-        if scenario not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
-            )
-        plan = SCENARIOS[scenario]
-    runner = RUNNERS[algo]
-    checkpointed = scenario not in UNCHECKPOINTED
-
-    # Fault-free reference, same checkpoint configuration (checkpoint
-    # drain time must appear in both runs for clocks to compare equal).
-    ref_engine = make_engine()
-    if checkpointed:
-        ref_engine.attach_checkpoints(
-            CheckpointManager(interval=checkpoint_interval)
-        )
-    ref = runner(ref_engine)
-
-    # Faulted run.
-    engine = make_engine()
-    if checkpointed:
-        engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    engine.attach_faults(plan, max_retries=max_retries)
-
-    crashed = False
-    try:
-        result = runner(engine)
-    except RankFailure as failure:
-        crashed = True
-        mgr = engine.checkpoints
-        if mgr is None or mgr.latest() is None:
-            return CaseResult(
-                scenario=scenario,
-                algo=algo,
-                status="unrecovered",
-                fault_events=engine.fault_events,
-                recovery_s=engine.clocks.recovery_total,
-                error=str(failure),
-            )
-        # The crash consumed its fault spec (the failed rank is modeled
-        # as replaced), so the same injector stays attached and any
-        # remaining planned faults hit the resumed run.
-        result = runner(engine, resume=True)
-
-    ref_values = _values_of(ref)
-    values = _values_of(result)
-    values_equal = (
-        bool(np.array_equal(ref_values, values))
-        if ref_values is not None and values is not None
-        else None
-    )
-    counters_equal = ref_engine.counters.summary() == engine.counters.summary()
-    clocks_equal = (
-        bool(np.array_equal(ref_engine.clocks.clock, engine.clocks.clock))
-        and bool(np.array_equal(ref_engine.clocks.compute, engine.clocks.compute))
-        and bool(np.array_equal(ref_engine.clocks.comm, engine.clocks.comm))
-    )
-    status = (
-        "diverged"
-        if values_equal is False
-        else ("recovered" if crashed else "completed")
-    )
-    return CaseResult(
-        scenario=scenario,
-        algo=algo,
-        status=status,
-        values_equal=values_equal,
-        counters_equal=counters_equal,
-        clocks_equal=clocks_equal,
-        fault_events=engine.fault_events,
-        recovery_s=engine.clocks.recovery_total,
-    )
-
-
-#: Graded elastic scenarios: each names a fault plan, the grid policy
-#: handling it, and how many regrids a healthy recovery performs.
-#: Supersteps are 1-based; ranks assume a grid of at least 4 ranks.
-ELASTIC_SCENARIOS: dict[str, dict] = {
-    # One permanent loss mid-run; all survivors regrid to the most
-    # square factor pair.
-    "crash-shrink": dict(
-        plan=FaultPlan([FaultSpec("crash", 2, rank=1)]),
-        policy="prefer-square",
-        expected_regrids=1,
+    "bitflip-detect": Scenario(
+        "basic", FaultPlan([FaultSpec("corruption", 2, bit=7)])
     ),
-    # Same loss absorbed by a hot spare: the grid never changes, so
-    # even PageRank stays bit-exact.
-    "crash-spare": dict(
-        plan=FaultPlan([FaultSpec("crash", 2, rank=1)]),
-        policy="spare-pool:1",
-        expected_regrids=1,
-    ),
-    # Two losses in consecutive supersteps: the second crash hits the
-    # already-shrunk grid, exercising regrid-of-a-regridded layout.
-    "double-crash-cascade": dict(
-        plan=FaultPlan(
-            [FaultSpec("crash", 2, rank=1), FaultSpec("crash", 3, rank=2)]
+    "straggler-drag": Scenario(
+        "basic",
+        FaultPlan(
+            [
+                FaultSpec("straggler", 1, rank=0, delay_s=5e-4),
+                FaultSpec("straggler", 2, rank=2, delay_s=1e-3),
+            ]
         ),
-        policy="prefer-square",
-        expected_regrids=2,
     ),
-    # Loss close to convergence: almost all work is done, so the
-    # regrid cost dominates the remaining compute.
-    "crash-at-convergence-tail": dict(
-        plan=FaultPlan([FaultSpec("crash", 3, rank=2)]),
-        policy="prefer-square",
-        expected_regrids=1,
+    # The deliberate failure: no checkpoints, so the crash is final.
+    # Unprotected scenarios stay out of default campaigns (select it
+    # explicitly to verify the failing exit path).
+    "crash-unrecovered": Scenario(
+        "basic", FaultPlan([FaultSpec("crash", 2, rank=0)]), checkpointed=False
     ),
-}
-
-DEFAULT_ELASTIC_SCENARIOS = tuple(ELASTIC_SCENARIOS)
-
-#: Elastic-capable runners: ``runner(engine, elastic)`` with
-#: ``elastic=None`` meaning a plain (reference) run.
-ELASTIC_RUNNERS: dict[str, Callable[..., Any]] = {
-    "BFS": lambda engine, elastic: bfs(engine, root=0, elastic=elastic),
-    "PR": lambda engine, elastic: pagerank(
-        engine, iterations=10, elastic=elastic
+    # One permanent loss mid-run; the survivors regrid to the most
+    # square factor pair.
+    "crash-shrink": Scenario(
+        "elastic",
+        FaultPlan([FaultSpec("crash", 2, rank=1)]),
+        recovery=partial(ElasticRecovery, policy="prefer-square"),
+        expect={"regrids": 1},
     ),
-    "CC": lambda engine, elastic: connected_components(
-        engine, elastic=elastic
+    # The same loss absorbed by a hot spare: the grid never changes.
+    "crash-spare": Scenario(
+        "elastic",
+        FaultPlan([FaultSpec("crash", 2, rank=1)]),
+        recovery=partial(ElasticRecovery, policy="spare-pool:1"),
+        expect={"regrids": 1},
     ),
-}
-
-
-@dataclass
-class ElasticCaseResult:
-    """Outcome of one (elastic scenario, algorithm) pair."""
-
-    scenario: str
-    algo: str
-    status: str  # regridded | completed | unrecovered | diverged
-    values_equal: Optional[bool] = None
-    values_close: Optional[bool] = None
-    n_regrids: int = 0
-    expected_regrids: Optional[int] = None
-    grid_trail: list = field(default_factory=list)
-    policy: str = ""
-    regrid_s: float = 0.0
-    regrid_fraction: float = 0.0
-    fault_events: list[dict] = field(default_factory=list)
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if self.status not in ("regridded", "completed"):
-            return False
-        if (
-            self.expected_regrids is not None
-            and self.n_regrids != self.expected_regrids
-        ):
-            return False
-        return True
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "values_equal": self.values_equal,
-            "values_close": self.values_close,
-            "n_regrids": self.n_regrids,
-            "expected_regrids": self.expected_regrids,
-            "grid_trail": [list(g) for g in self.grid_trail],
-            "policy": self.policy,
-            "regrid_s": self.regrid_s,
-            "regrid_fraction": self.regrid_fraction,
-            "fault_events": self.fault_events,
-            "error": self.error,
-        }
-
-
-def run_elastic_case(
-    make_engine: Callable[[], Any],
-    algo: str,
-    scenario: str,
-    plan: Optional[FaultPlan] = None,
-    policy: Optional[str] = None,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-    expected_regrids: Optional[int] = None,
-) -> ElasticCaseResult:
-    """Run one elastic (scenario, algorithm) pair and grade the outcome.
-
-    The faulted run must survive every planned permanent loss by
-    regridding and finish with values matching the fault-free
-    reference: bit-identical for the monotone algorithms, and for
-    PageRank bit-identical on spare-pool recoveries / within ~1 ulp
-    (``allclose`` at ``rtol=1e-9``) after a shrink — PageRank's sum
-    reductions are sensitive to the operand grouping a new grid
-    induces (see ``docs/ROBUSTNESS.md``).
-    """
-    if algo not in ELASTIC_RUNNERS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; choose from {sorted(ELASTIC_RUNNERS)}"
-        )
-    if plan is None or policy is None:
-        if scenario not in ELASTIC_SCENARIOS:
-            raise ValueError(
-                f"unknown elastic scenario {scenario!r}; choose from "
-                f"{sorted(ELASTIC_SCENARIOS)}"
-            )
-        spec = ELASTIC_SCENARIOS[scenario]
-        plan = plan if plan is not None else spec["plan"]
-        policy = policy if policy is not None else spec["policy"]
-        if expected_regrids is None:
-            expected_regrids = spec.get("expected_regrids")
-    runner = ELASTIC_RUNNERS[algo]
-
-    ref_engine = make_engine()
-    ref_engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    ref = runner(ref_engine, None)
-
-    engine = make_engine()
-    engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    engine.attach_faults(plan, max_retries=max_retries)
-    recovery = ElasticRecovery(policy=policy)
-    start_grid = (engine.grid.R, engine.grid.C)
-
-    try:
-        result = runner(engine, recovery)
-    except ElasticUnrecoverable as exc:
-        return ElasticCaseResult(
-            scenario=scenario,
-            algo=algo,
-            status="unrecovered",
-            n_regrids=recovery.regrids,
-            expected_regrids=expected_regrids,
-            grid_trail=[start_grid]
-            + [e["to_grid"] for e in recovery.events],
-            policy=recovery.policy.name,
-            fault_events=list(recovery.events),
-            error=str(exc),
-        )
-
-    info = result.extra.get("elastic", {})
-    final_engine = info.get("engine", engine)
-    n_regrids = int(info.get("regrids", 0))
-    values_equal = bool(np.array_equal(ref.values, result.values))
-    values_close = bool(
-        np.allclose(ref.values, result.values, rtol=1e-9, atol=1e-12)
-    )
-    shrunk = any(not e.get("spare") for e in info.get("events", ()))
-    acceptable = values_equal or (algo == "PR" and shrunk and values_close)
-    status = (
-        "diverged"
-        if not acceptable
-        else ("regridded" if n_regrids else "completed")
-    )
-    return ElasticCaseResult(
-        scenario=scenario,
-        algo=algo,
-        status=status,
-        values_equal=values_equal,
-        values_close=values_close,
-        n_regrids=n_regrids,
-        expected_regrids=expected_regrids,
-        grid_trail=[start_grid] + [e["to_grid"] for e in info.get("events", ())],
-        policy=info.get("policy", recovery.policy.name),
-        regrid_s=float(final_engine.clocks.regrid_total),
-        regrid_fraction=float(result.timings.regrid_fraction),
-        fault_events=final_engine.fault_events,
-    )
-
-
-def run_elastic_campaign(
-    make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "PR", "CC"),
-    scenarios: Sequence[str] = DEFAULT_ELASTIC_SCENARIOS,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-) -> dict:
-    """Run the elastic scenario x algorithm grid; return a report dict.
-
-    ``report["failed"]`` counts cases that diverged, failed to recover,
-    or regridded a different number of times than the scenario expects
-    — the ``python -m repro faults --elastic`` CLI turns it into the
-    process exit code.
-    """
-    cases = []
-    for scenario in scenarios:
-        for algo in algos:
-            cases.append(
-                run_elastic_case(
-                    make_engine,
-                    algo,
-                    scenario,
-                    checkpoint_interval=checkpoint_interval,
-                    max_retries=max_retries,
-                )
-            )
-    return {
-        "schema": "repro.faults.elastic.v1",
-        "cases": [c.as_dict() for c in cases],
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "unrecovered": sum(1 for c in cases if c.status == "unrecovered"),
-        "diverged": sum(1 for c in cases if c.status == "diverged"),
-        "regrids": sum(c.n_regrids for c in cases),
-    }
-
-
-#: Graded autoscale scenarios: the health watchdog + bidirectional
-#: elastic loop (demote chronic stragglers, grow back onto spares).
-#: Tuned to the campaign dataset on a 4-rank grid, where BFS — the
-#: shortest run — finishes in 3 supersteps: detection evidence must
-#: accumulate by boundary 2 (two 2 s stalls against ~0.1 s/superstep
-#: natural deltas make the straggler unambiguous at ``chronic_after=2``)
-#: and spares arrive at superstep 3, the last boundary every algorithm
-#: still reaches.
-AUTOSCALE_SCENARIOS: dict[str, dict] = {
-    # A rank stalls 2 s in two consecutive supersteps: suspect at
-    # boundary 1, chronic at boundary 2, demoted (soft failure) and the
-    # run continues on the squarest 3-rank grid.
-    "chronic-straggler-demote": dict(
-        plan=FaultPlan(
+    # The second crash hits the already-shrunk grid.
+    "double-crash-cascade": Scenario(
+        "elastic",
+        FaultPlan([FaultSpec("crash", 2, rank=1), FaultSpec("crash", 3, rank=2)]),
+        recovery=partial(ElasticRecovery, policy="prefer-square"),
+        expect={"regrids": 2},
+    ),
+    # Loss close to convergence: the regrid cost dominates what is left.
+    "crash-at-convergence-tail": Scenario(
+        "elastic",
+        FaultPlan([FaultSpec("crash", 3, rank=2)]),
+        recovery=partial(ElasticRecovery, policy="prefer-square"),
+        expect={"regrids": 1},
+    ),
+    # Suspect at boundary 1, chronic at boundary 2, demoted; the run
+    # continues on the squarest 3-rank grid.
+    "chronic-straggler-demote": Scenario(
+        "autoscale",
+        FaultPlan(
             [
                 FaultSpec("straggler", 1, rank=1, delay_s=2.0),
                 FaultSpec("straggler", 2, rank=1, delay_s=2.0),
             ]
         ),
-        monitor=dict(chronic_after=2),
-        expected_regrids=1,
-        expected_rank_delta=-1,
+        recovery=lambda: AutoscaleRecovery(monitor=HealthMonitor(chronic_after=2)),
+        expect={"regrids": 1, "rank_delta": -1},
     ),
-    # A hard crash shrinks the grid; a replacement arrives one
-    # superstep later and the run grows back to full strength.
-    "spare-arrival-grow": dict(
-        plan=FaultPlan(
-            [FaultSpec("crash", 2, rank=1), FaultSpec("recover", 3)]
-        ),
-        expected_regrids=2,
-        expected_rank_delta=0,
+    # A hard crash shrinks the grid; a replacement arrives one superstep
+    # later and the run grows back to full strength.
+    "spare-arrival-grow": Scenario(
+        "autoscale",
+        FaultPlan([FaultSpec("crash", 2, rank=1), FaultSpec("recover", 3)]),
+        recovery=AutoscaleRecovery,
+        expect={"regrids": 2, "rank_delta": 0},
     ),
-    # The full loop: demote a chronic straggler, grow back onto the
-    # arriving spare, and shrug off a *new* straggler on the grown grid
-    # — the demotion budget is spent, so the oscillation guard holds
-    # the grid steady.
-    "demote-then-grow-back": dict(
-        plan=FaultPlan(
+    # Demote, grow back onto the arriving spare, then shrug off a new
+    # straggler on the grown grid: the demotion budget is spent, so the
+    # oscillation guard holds the grid steady.
+    "demote-then-grow-back": Scenario(
+        "autoscale",
+        FaultPlan(
             [
                 FaultSpec("straggler", 1, rank=1, delay_s=2.0),
                 FaultSpec("straggler", 2, rank=1, delay_s=2.0),
@@ -509,504 +219,296 @@ AUTOSCALE_SCENARIOS: dict[str, dict] = {
                 FaultSpec("straggler", 3, rank=0, delay_s=2.0),
             ]
         ),
-        monitor=dict(chronic_after=2),
-        expected_regrids=2,
-        expected_rank_delta=0,
+        recovery=lambda: AutoscaleRecovery(monitor=HealthMonitor(chronic_after=2)),
+        expect={"regrids": 2, "rank_delta": 0},
     ),
-    # A spare arrives while the run is about to converge: extreme
-    # hysteresis models "the migration would cost more than the
-    # remaining work" — the policy records a hold and never grows.
-    "grow-at-convergence-tail": dict(
-        plan=FaultPlan([FaultSpec("recover", 2)]),
-        autoscale=dict(hysteresis=1000),
-        expected_regrids=0,
-        expected_rank_delta=0,
+    # Extreme hysteresis models "the migration would cost more than the
+    # remaining work": the policy records a hold and never grows.
+    "grow-at-convergence-tail": Scenario(
+        "autoscale",
+        FaultPlan([FaultSpec("recover", 2)]),
+        recovery=lambda: AutoscaleRecovery(policy=AutoscalePolicy(hysteresis=1000)),
+        expect={"regrids": 0, "rank_delta": 0},
     ),
-}
-
-DEFAULT_AUTOSCALE_SCENARIOS = tuple(AUTOSCALE_SCENARIOS)
-
-
-@dataclass
-class AutoscaleCaseResult:
-    """Outcome of one (autoscale scenario, algorithm) pair."""
-
-    scenario: str
-    algo: str
-    status: str  # regridded | completed | unrecovered | diverged
-    values_equal: Optional[bool] = None
-    values_close: Optional[bool] = None
-    n_regrids: int = 0
-    expected_regrids: Optional[int] = None
-    rank_delta: int = 0
-    expected_rank_delta: Optional[int] = None
-    n_demotions: int = 0
-    n_grows: int = 0
-    n_holds: int = 0
-    grid_trail: list = field(default_factory=list)
-    regrid_s: float = 0.0
-    health: dict = field(default_factory=dict)
-    fault_events: list[dict] = field(default_factory=list)
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if self.status not in ("regridded", "completed"):
-            return False
-        if (
-            self.expected_regrids is not None
-            and self.n_regrids != self.expected_regrids
-        ):
-            return False
-        if (
-            self.expected_rank_delta is not None
-            and self.rank_delta != self.expected_rank_delta
-        ):
-            return False
-        return True
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "values_equal": self.values_equal,
-            "values_close": self.values_close,
-            "n_regrids": self.n_regrids,
-            "expected_regrids": self.expected_regrids,
-            "rank_delta": self.rank_delta,
-            "expected_rank_delta": self.expected_rank_delta,
-            "n_demotions": self.n_demotions,
-            "n_grows": self.n_grows,
-            "n_holds": self.n_holds,
-            "grid_trail": [list(g) for g in self.grid_trail],
-            "regrid_s": self.regrid_s,
-            "health": self.health,
-            "fault_events": self.fault_events,
-            "error": self.error,
-        }
-
-
-def run_autoscale_case(
-    make_engine: Callable[[], Any],
-    algo: str,
-    scenario: str,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-) -> AutoscaleCaseResult:
-    """Run one autoscale (scenario, algorithm) pair and grade it.
-
-    The faulted run goes through :class:`AutoscaleRecovery` — health
-    watchdog, demotion, and grow-back all armed — and must finish with
-    values matching the fault-free reference: bit-identical for the
-    monotone algorithms, within ~1 ulp for PageRank once any regrid
-    changed the reduction grouping.  The grade also pins the regrid
-    count *and* the net rank delta, so a scenario that was supposed to
-    return to full strength (or hold) failing to is a failure even
-    when values agree.
-    """
-    if algo not in ELASTIC_RUNNERS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; choose from {sorted(ELASTIC_RUNNERS)}"
-        )
-    if scenario not in AUTOSCALE_SCENARIOS:
-        raise ValueError(
-            f"unknown autoscale scenario {scenario!r}; choose from "
-            f"{sorted(AUTOSCALE_SCENARIOS)}"
-        )
-    spec = AUTOSCALE_SCENARIOS[scenario]
-    runner = ELASTIC_RUNNERS[algo]
-
-    ref_engine = make_engine()
-    ref_engine.attach_checkpoints(
-        CheckpointManager(interval=checkpoint_interval)
-    )
-    ref = runner(ref_engine, None)
-
-    engine = make_engine()
-    engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    engine.attach_faults(spec["plan"], max_retries=max_retries)
-    recovery = AutoscaleRecovery(
-        policy=AutoscalePolicy(**spec.get("autoscale", {})),
-        monitor=HealthMonitor(**spec.get("monitor", {})),
-        demotion=DemotionPolicy(**spec.get("demotion", {})),
-    )
-    start_grid = (engine.grid.R, engine.grid.C)
-    expected_regrids = spec.get("expected_regrids")
-    expected_rank_delta = spec.get("expected_rank_delta")
-
-    try:
-        result = runner(engine, recovery)
-    except ElasticUnrecoverable as exc:
-        return AutoscaleCaseResult(
-            scenario=scenario,
-            algo=algo,
-            status="unrecovered",
-            n_regrids=recovery.regrids,
-            expected_regrids=expected_regrids,
-            expected_rank_delta=expected_rank_delta,
-            grid_trail=[start_grid]
-            + [
-                e["to_grid"] for e in recovery.events if "to_grid" in e
-            ],
-            fault_events=list(recovery.events),
-            error=str(exc),
-        )
-
-    info = result.extra.get("elastic", {})
-    final_engine = info.get("engine", engine)
-    n_regrids = int(info.get("regrids", 0))
-    values_equal = bool(np.array_equal(ref.values, result.values))
-    values_close = bool(
-        np.allclose(ref.values, result.values, rtol=1e-9, atol=1e-12)
-    )
-    acceptable = values_equal or (
-        algo == "PR" and n_regrids > 0 and values_close
-    )
-    status = (
-        "diverged"
-        if not acceptable
-        else ("regridded" if n_regrids else "completed")
-    )
-    events = list(recovery.events)
-    return AutoscaleCaseResult(
-        scenario=scenario,
-        algo=algo,
-        status=status,
-        values_equal=values_equal,
-        values_close=values_close,
-        n_regrids=n_regrids,
-        expected_regrids=expected_regrids,
-        rank_delta=final_engine.n_ranks - (start_grid[0] * start_grid[1]),
-        expected_rank_delta=expected_rank_delta,
-        n_demotions=sum(1 for e in events if e["kind"] == "demote"),
-        n_grows=sum(1 for e in events if e["kind"] == "grow"),
-        n_holds=sum(1 for e in events if e["kind"] == "hold"),
-        grid_trail=[start_grid]
-        + [e["to_grid"] for e in events if "to_grid" in e],
-        regrid_s=float(final_engine.clocks.regrid_total),
-        health=recovery.monitor.report(),
-        fault_events=final_engine.fault_events,
-    )
-
-
-def run_autoscale_campaign(
-    make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "PR", "CC"),
-    scenarios: Sequence[str] = DEFAULT_AUTOSCALE_SCENARIOS,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-) -> dict:
-    """Run the autoscale scenario x algorithm grid; return a report.
-
-    ``report["failed"]`` counts cases that diverged, failed to recover,
-    regridded a different number of times than expected, or ended on
-    the wrong rank count — the ``python -m repro faults --autoscale``
-    CLI turns it into the process exit code.
-    """
-    cases = []
-    for scenario in scenarios:
-        for algo in algos:
-            cases.append(
-                run_autoscale_case(
-                    make_engine,
-                    algo,
-                    scenario,
-                    checkpoint_interval=checkpoint_interval,
-                    max_retries=max_retries,
-                )
-            )
-    return {
-        "schema": "repro.faults.autoscale.v1",
-        "cases": [c.as_dict() for c in cases],
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "unrecovered": sum(1 for c in cases if c.status == "unrecovered"),
-        "diverged": sum(1 for c in cases if c.status == "diverged"),
-        "regrids": sum(c.n_regrids for c in cases),
-        "demotions": sum(c.n_demotions for c in cases),
-        "grows": sum(c.n_grows for c in cases),
-        "holds": sum(c.n_holds for c in cases),
-    }
-
-
-def run_campaign(
-    make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "PR", "CC"),
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-    checkpoint_interval: int = 1,
-    max_retries: int = 4,
-) -> dict:
-    """Run the full scenario x algorithm grid; return a report dict.
-
-    ``report["failed"]`` counts cases that did not end in a healthy
-    state (unrecovered, diverged, or value-mismatched) — the campaign
-    CLI turns it into the process exit code.
-    """
-    cases = []
-    for scenario in scenarios:
-        for algo in algos:
-            cases.append(
-                run_case(
-                    make_engine,
-                    algo,
-                    scenario,
-                    checkpoint_interval=checkpoint_interval,
-                    max_retries=max_retries,
-                )
-            )
-    return {
-        "schema": "repro.faults.campaign.v1",
-        "cases": [c.as_dict() for c in cases],
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "unrecovered": sum(1 for c in cases if c.status == "unrecovered"),
-    }
-
-
-#: Graded silent-data-corruption scenarios: memory bit-flips landing
-#: in a rank's registered state arrays at superstep boundaries.  All
-#: flips fire at superstep >= 2 with checkpoints at every boundary, so
-#: a verified-good checkpoint always exists to roll back to.  Ranks
-#: assume at least a 2x2 grid (the ledger needs replicated windows on
-#: both axes — see ``repro.faults.integrity``).
-SDC_SCENARIOS: dict[str, dict] = {
     # One bit in rank 1's state, early in the run.
-    "memflip-single": dict(
-        plan=FaultPlan([FaultSpec("memflip", 2, rank=1, bit=137)]),
-        repair_budget=2,
+    "memflip-single": _sdc(
+        FaultPlan([FaultSpec("memflip", 2, rank=1, bit=137)]),
+        expect={"detected": 1},
     ),
     # A 3-bit burst late in the run (DRAM row disturbance model).
-    "memflip-burst": dict(
-        plan=FaultPlan([FaultSpec("memflip", 3, rank=2, bit=4099, count=3)]),
-        repair_budget=2,
+    "memflip-burst": _sdc(
+        FaultPlan([FaultSpec("memflip", 3, rank=2, bit=4099, count=3)]),
+        expect={"detected": 1},
     ),
-    # Two independent flips on different ranks at different
-    # supersteps: two detect-restore-recompute round trips.
-    "memflip-double": dict(
-        plan=FaultPlan(
+    # Two flips on different ranks and supersteps: two round trips.
+    "memflip-double": _sdc(
+        FaultPlan(
             [
                 FaultSpec("memflip", 2, rank=1, bit=7),
                 FaultSpec("memflip", 3, rank=2, bit=513),
             ]
         ),
-        repair_budget=2,
+        expect={"detected": 2},
     ),
 }
 
-DEFAULT_SDC_SCENARIOS = tuple(SDC_SCENARIOS)
-
-#: Resume- and certify-capable runners for the SDC campaign.  Every
-#: run certifies its final answer (the end-to-end seal on top of the
-#: ledger).  SSSP needs an edge-weighted graph — the campaign skips it
-#: unless a weighted engine factory is supplied.
-SDC_RUNNERS: dict[str, Callable[..., Any]] = {
-    "BFS": lambda engine, resume=False: bfs(
-        engine, root=0, resume=resume, certify=True
-    ),
-    "PR": lambda engine, resume=False: pagerank(
-        engine, iterations=10, resume=resume, certify=True
-    ),
-    "CC": lambda engine, resume=False: connected_components(
-        engine, resume=resume, certify=True
-    ),
-    "SSSP": lambda engine, resume=False: sssp(
-        engine, root=0, resume=resume, certify=True
-    ),
+#: ``runner(engine, resume=, elastic=, certify=)`` keyed by the paper's
+#: abbreviations.  SSSP needs an edge-weighted graph.
+RUNNERS: dict[str, Callable[..., Any]] = {
+    "BFS": lambda engine, **kw: bfs(engine, root=0, **kw),
+    "PR": lambda engine, **kw: pagerank(engine, iterations=10, **kw),
+    "CC": lambda engine, **kw: connected_components(engine, **kw),
+    "SSSP": lambda engine, **kw: sssp(engine, root=0, **kw),
 }
 
 #: Algorithms that need an edge-weighted graph.
 WEIGHTED_ALGOS = ("SSSP",)
 
+#: Backstop on resume attempts per case.  Every crash spec fires once
+#: and the ledger bounds repairs itself, so a healthy run never hits it.
+MAX_RESUMES = 8
+
+#: Per-case counts summed into the campaign report.
+COUNTS = ("regrids", "demotions", "grows", "holds", "repairs", "detected")
+
+STATUSES = ("completed", "recovered", "unrecovered", "diverged")
+
 
 @dataclass
-class SdcCaseResult:
-    """Outcome of one SDC (scenario, algorithm) pair."""
+class CaseResult:
+    """Outcome of one (scenario, algorithm) pair."""
 
     scenario: str
+    kind: str
     algo: str
-    status: str  # repaired | completed | diverged | unrepaired
-    detected: bool = False
+    status: str  # completed | recovered | unrecovered | diverged
+    exact: bool = False
+    expect: dict = field(default_factory=dict)
     values_equal: Optional[bool] = None
+    values_close: Optional[bool] = None
     counters_equal: Optional[bool] = None
-    clocks_equal: Optional[bool] = None
+    #: Clock lanes that differ from the reference (None: not compared).
+    lanes_differ: Optional[list] = None
+    regrids: int = 0
+    rank_delta: int = 0
+    detected: int = 0
+    demotions: int = 0
+    grows: int = 0
+    holds: int = 0
     repairs: int = 0
+    grid_trail: list = field(default_factory=list)
+    recovery_s: float = 0.0
+    regrid_s: float = 0.0
     certify_s: float = 0.0
-    fault_events: list[dict] = field(default_factory=list)
+    fault_events: list = field(default_factory=list)
     error: str = ""
 
     @property
+    def clocks_equal(self) -> Optional[bool]:
+        return None if self.lanes_differ is None else not self.lanes_differ
+
+    @property
     def ok(self) -> bool:
-        """A healthy SDC case: the corruption was *detected* (no
-        silent divergence) and the *repaired* run is bit-identical to
-        the fault-free reference."""
-        return (
-            self.status == "repaired"
-            and self.detected
-            and self.values_equal is True
-            and self.counters_equal is True
-            and self.clocks_equal is True
-        )
+        if self.status not in ("completed", "recovered"):
+            return False
+        if self.exact and not (self.counters_equal and self.clocks_equal):
+            return False
+        return all(getattr(self, k) == v for k, v in self.expect.items())
 
     def as_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
+            **asdict(self),
             "ok": self.ok,
-            "detected": self.detected,
-            "values_equal": self.values_equal,
-            "counters_equal": self.counters_equal,
             "clocks_equal": self.clocks_equal,
-            "repairs": self.repairs,
-            "certify_s": self.certify_s,
             "n_fault_events": len(self.fault_events),
-            "fault_events": self.fault_events,
-            "error": self.error,
         }
 
 
-def run_sdc_case(
+def differing_lanes(ref, other) -> list[str]:
+    """Names of the :class:`VirtualClocks` lanes where ``other`` differs
+    from ``ref`` (rank counts differing counts as a difference)."""
+    theirs = other.per_rank_lanes()
+    return [
+        lane
+        for lane, values in ref.per_rank_lanes().items()
+        if not np.array_equal(values, theirs[lane])
+    ]
+
+
+def _check_algo(algo: str) -> None:
+    if algo not in RUNNERS:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(RUNNERS)}")
+
+
+def _resolve(scenario: Union[str, Scenario], plan: Optional[FaultPlan]):
+    """``(name, Scenario)`` for a table name, a custom name plus
+    ``plan`` (a checkpointed basic scenario), or a Scenario object."""
+    if isinstance(scenario, Scenario):
+        spec, name = scenario, "custom"
+    elif scenario in SCENARIOS:
+        spec, name = SCENARIOS[scenario], scenario
+    elif plan is not None:
+        spec, name = Scenario("basic", plan), scenario
+    else:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
+        )
+    return name, spec if plan is None else replace(spec, plan=plan)
+
+
+def _protected(make_engine, spec: Scenario, checkpoint_interval: int):
+    """A fresh engine carrying the scenario's protection."""
+    engine = make_engine()
+    ledger = spec.ledger() if spec.ledger is not None else None
+    if ledger is not None:
+        engine.attach_integrity(ledger)
+    if spec.checkpointed:
+        engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
+    return engine, ledger
+
+
+def run_case(
     make_engine: Callable[[], Any],
     algo: str,
-    scenario: str,
+    scenario: Union[str, Scenario],
     plan: Optional[FaultPlan] = None,
-    repair_budget: int = 2,
+    checkpoint_interval: int = 1,
     max_retries: int = 4,
-) -> SdcCaseResult:
-    """Run one SDC (scenario, algorithm) pair and grade the outcome.
+) -> CaseResult:
+    """Run one (scenario, algorithm) pair and grade the outcome.
 
-    Both runs attach an every-boundary :class:`IntegrityLedger` and
-    checkpoint manager (identical configuration, so digest-exchange
-    and checkpoint-drain charges cancel out of the clock comparison)
-    and certify their final answer.  The faulted run additionally
-    carries the scenario's memflip plan; each detected violation rolls
-    back to the last verified checkpoint and recomputes.  The grade
-    requires *detection* (at least one ``integrity`` event, and one
-    per corrupted boundary) and *bit-identical repair* (values,
-    counters, and every clock lane equal to the fault-free run).
+    ``scenario`` is a :data:`SCENARIOS` name or a :class:`Scenario`;
+    ``plan`` overrides its fault plan (with an unknown name it makes a
+    checkpointed ``basic`` scenario).  A :class:`RankFailure` escaping
+    the run — a crash past its retries, or a detected corruption —
+    resumes from the latest checkpoint, up to :data:`MAX_RESUMES`
+    times; no checkpoint, or an exhausted regrid / repair budget,
+    grades ``unrecovered``.
     """
-    from .integrity import IntegrityFailure, IntegrityLedger
+    _check_algo(algo)
+    name, spec = _resolve(scenario, plan)
+    runner = RUNNERS[algo]
 
-    if algo not in SDC_RUNNERS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; choose from {sorted(SDC_RUNNERS)}"
-        )
-    if plan is None:
-        if scenario not in SDC_SCENARIOS:
-            raise ValueError(
-                f"unknown SDC scenario {scenario!r}; choose from "
-                f"{sorted(SDC_SCENARIOS)}"
+    ref_engine, _ = _protected(make_engine, spec, checkpoint_interval)
+    ref = runner(ref_engine, certify=spec.certify)
+
+    engine, ledger = _protected(make_engine, spec, checkpoint_interval)
+    engine.attach_faults(spec.plan, max_retries=max_retries)
+    recovery = spec.recovery() if spec.recovery is not None else None
+    start = (engine.grid.R, engine.grid.C)
+
+    result, error, resumes = None, "", 0
+    while result is None:
+        try:
+            result = runner(
+                engine, resume=resumes > 0, elastic=recovery, certify=spec.certify
             )
-        spec = SDC_SCENARIOS[scenario]
-        plan = spec["plan"]
-        repair_budget = spec.get("repair_budget", repair_budget)
-    runner = SDC_RUNNERS[algo]
+        except RankFailure as exc:
+            # The failure consumed its fault spec, so the same injector
+            # stays attached and any remaining faults hit the resumed run.
+            mgr = engine.checkpoints
+            if mgr is None or mgr.latest() is None or resumes == MAX_RESUMES:
+                error = str(exc)
+                break
+            resumes += 1
+        except (ElasticUnrecoverable, IntegrityFailure) as exc:
+            error = str(exc)
+            break
 
-    ref_engine = make_engine()
-    ref_engine.attach_integrity(IntegrityLedger(repair_budget=repair_budget))
-    ref_engine.attach_checkpoints(CheckpointManager(interval=1))
-    ref = runner(ref_engine)
-
-    engine = make_engine()
-    ledger = IntegrityLedger(repair_budget=repair_budget)
-    engine.attach_integrity(ledger)
-    engine.attach_checkpoints(CheckpointManager(interval=1))
-    engine.attach_faults(plan, max_retries=max_retries)
-
-    result = None
-    attempts = 0
-    error = ""
-    try:
-        while result is None:
-            try:
-                result = (
-                    runner(engine)
-                    if attempts == 0
-                    else runner(engine, resume=True)
-                )
-            except RankFailure:
-                # IntegrityViolation (or any boundary failure): the
-                # restore path rewinds to the last verified checkpoint
-                # and the loop recomputes the suspect window.  The
-                # repair budget bounds this loop from inside the
-                # ledger; the attempt cap is a backstop.
-                attempts += 1
-                if attempts > repair_budget + 2:
-                    raise
-    except (IntegrityFailure, RankFailure) as exc:
-        return SdcCaseResult(
-            scenario=scenario,
-            algo=algo,
-            status="unrepaired",
-            detected=any(
-                e["kind"] == "integrity" for e in engine.fault_events
-            ),
-            repairs=ledger.repairs,
-            certify_s=float(engine.clocks.certify_total),
-            fault_events=engine.fault_events,
-            error=str(exc),
-        )
-
+    # Regrid history and the injector are shared across rebuilt
+    # engines, so the original engine sees every event.
     events = engine.fault_events
-    flip_steps = {e["superstep"] for e in events if e["kind"] == "memflip"}
-    caught_steps = {
-        e["superstep"] for e in events if e["kind"] == "integrity"
-    }
-    detected = bool(flip_steps) and flip_steps <= caught_steps
-    values_equal = bool(np.array_equal(ref.values, result.values))
-    counters_equal = (
-        ref_engine.counters.summary() == engine.counters.summary()
-    )
-    lanes = ("clock", "compute", "comm", "recovery", "regrid", "certify")
-    clocks_equal = all(
-        bool(
-            np.array_equal(
-                getattr(ref_engine.clocks, lane), getattr(engine.clocks, lane)
-            )
-        )
-        for lane in lanes
-    )
-    if not values_equal:
-        status = "diverged"
-    elif attempts > 0:
-        status = "repaired"
-    else:
-        status = "completed"
-    return SdcCaseResult(
-        scenario=scenario,
+    kinds = [e["kind"] for e in events]
+    moves = [e for e in events if "to_grid" in e]
+    trail = [start] + [tuple(e["to_grid"]) for e in moves]
+    flips = {e["superstep"] for e in events if e["kind"] == "memflip"}
+    caught = {e["superstep"] for e in events if e["kind"] == "integrity"}
+    case = CaseResult(
+        scenario=name,
+        kind=spec.kind,
         algo=algo,
-        status=status,
-        detected=detected,
-        values_equal=values_equal,
-        counters_equal=counters_equal,
-        clocks_equal=clocks_equal,
-        repairs=ledger.repairs,
-        certify_s=float(engine.clocks.certify_total),
+        status="unrecovered",
+        exact=spec.exact,
+        expect=dict(spec.expect),
+        regrids=len(moves),
+        rank_delta=trail[-1][0] * trail[-1][1] - start[0] * start[1],
+        detected=len(flips & caught),
+        demotions=kinds.count("demote"),
+        grows=kinds.count("grow"),
+        holds=kinds.count("hold"),
+        repairs=ledger.repairs if ledger is not None else 0,
+        grid_trail=trail,
         fault_events=events,
         error=error,
     )
+    final = engine
+    if result is not None:
+        final = result.extra.get("elastic", {}).get("engine", engine)
+        case.values_equal = bool(np.array_equal(ref.values, result.values))
+        case.values_close = bool(
+            np.allclose(ref.values, result.values, rtol=1e-9, atol=1e-12)
+        )
+        moved = any(e["from_grid"] != e["to_grid"] for e in moves)
+        if not (case.values_equal or (algo == "PR" and moved and case.values_close)):
+            case.status = "diverged"
+        else:
+            case.status = "recovered" if resumes or moves else "completed"
+        case.counters_equal = (
+            ref_engine.counters.summary() == final.counters.summary()
+        )
+        case.lanes_differ = differing_lanes(ref_engine.clocks, final.clocks)
+    case.recovery_s = float(final.clocks.recovery_total)
+    case.regrid_s = float(final.clocks.regrid_total)
+    case.certify_s = float(final.clocks.certify_total)
+    return case
 
 
-def run_sdc_campaign(
+def select_cases(
+    kind: str,
+    algos: Optional[Sequence[str]] = None,
+    scenarios: Optional[Sequence[str]] = None,
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Validate and default a campaign's ``(algos, scenarios)``.
+
+    Defaults are the kind's :data:`KINDS` algorithms and every
+    checkpointed scenario of that kind.  Raises ``ValueError`` naming
+    the valid choices for an unknown kind or algorithm, or a scenario
+    from another kind.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown campaign kind {kind!r}; choose from {sorted(KINDS)}")
+    algos = tuple(algos) if algos is not None else KINDS[kind]["algos"]
+    for algo in algos:
+        _check_algo(algo)
+    own = [n for n, s in SCENARIOS.items() if s.kind == kind]
+    if scenarios is None:
+        scenarios = [n for n in own if SCENARIOS[n].checkpointed]
+    for name in scenarios:
+        if name not in own:
+            raise ValueError(
+                f"scenario {name!r} is not in the {kind} campaign; choose from {own}"
+            )
+    return algos, tuple(scenarios)
+
+
+def run_campaign(
     make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "CC", "PR", "SSSP"),
-    scenarios: Sequence[str] = DEFAULT_SDC_SCENARIOS,
+    kind: str = "basic",
+    algos: Optional[Sequence[str]] = None,
+    scenarios: Optional[Sequence[str]] = None,
+    checkpoint_interval: int = 1,
     max_retries: int = 4,
     make_weighted_engine: Optional[Callable[[], Any]] = None,
 ) -> dict:
-    """Run the SDC scenario x algorithm grid; return a report dict.
+    """Run one kind's scenario x algorithm grid; return the report.
 
-    ``report["failed"]`` counts cases that diverged silently, could
-    not be repaired within budget, or repaired to a non-identical
-    state — ``python -m repro faults --sdc`` turns it into the
-    process exit code.  Weighted algorithms (SSSP) use
-    ``make_weighted_engine`` and are skipped — *loudly*, via the
-    ``skipped`` list — when no weighted factory is given.
+    ``report["failed"]`` counts cases that are not ``ok`` — the
+    ``python -m repro faults`` CLI turns it into the exit code.
+    Weighted algorithms (SSSP) use ``make_weighted_engine`` and are
+    skipped — *loudly*, via the ``skipped`` list — without one.
     """
-    cases = []
-    skipped = []
+    algos, scenarios = select_cases(kind, algos, scenarios)
+    cases, skipped = [], []
     for scenario in scenarios:
         for algo in algos:
             factory = make_engine
@@ -1016,20 +518,21 @@ def run_sdc_campaign(
                     continue
                 factory = make_weighted_engine
             cases.append(
-                run_sdc_case(
+                run_case(
                     factory,
                     algo,
                     scenario,
+                    checkpoint_interval=checkpoint_interval,
                     max_retries=max_retries,
                 )
             )
     return {
-        "schema": "repro.faults.sdc.v1",
+        "schema": REPORT_SCHEMA,
+        "kind": kind,
         "cases": [c.as_dict() for c in cases],
         "skipped": skipped,
         "total": len(cases),
         "failed": sum(1 for c in cases if not c.ok),
-        "undetected": sum(1 for c in cases if not c.detected),
-        "unrepaired": sum(1 for c in cases if c.status == "unrepaired"),
-        "repairs": sum(c.repairs for c in cases),
+        **{s: sum(1 for c in cases if c.status == s) for s in STATUSES},
+        **{k: sum(getattr(c, k) for c in cases) for k in COUNTS},
     }

@@ -9,7 +9,6 @@ from .manhattan import (
     manhattan_schedule,
     vertex_per_thread_balance,
 )
-from .vertexqueue import LaneVertexQueue, VertexQueue, unique_new
 
 __all__ = [
     "expand_block",
@@ -21,7 +20,4 @@ __all__ = [
     "ScheduleStats",
     "manhattan_schedule",
     "vertex_per_thread_balance",
-    "LaneVertexQueue",
-    "VertexQueue",
-    "unique_new",
 ]

@@ -24,8 +24,8 @@ from repro.faults import (
     PreferSquare,
     SparePool,
     resolve_policy,
-    run_elastic_campaign,
-    run_elastic_case,
+    run_campaign,
+    run_case,
 )
 from repro.graph import rmat
 
@@ -283,11 +283,11 @@ class TestCampaign:
         def make():
             return Engine(_graph(), grid=GRID)
 
-        case = run_elastic_case(make, "CC", "crash-shrink")
-        assert case.status == "regridded"
+        case = run_case(make, "CC", "crash-shrink")
+        assert case.status == "recovered"
         assert case.ok
         assert case.values_equal is True
-        assert case.n_regrids == 1
+        assert case.regrids == 1
         assert case.grid_trail == [(4, 3), (1, 11)]
         assert case.regrid_s > 0
 
@@ -295,8 +295,9 @@ class TestCampaign:
         def make():
             return Engine(_graph(), grid=GRID)
 
-        report = run_elastic_campaign(make, algos=("BFS",))
-        assert report["schema"] == "repro.faults.elastic.v1"
+        report = run_campaign(make, "elastic", algos=("BFS",))
+        assert report["schema"] == "repro.faults.campaign.v2"
+        assert report["kind"] == "elastic"
         assert report["total"] == 4
         assert report["failed"] == 0
         assert report["unrecovered"] == 0
@@ -307,6 +308,6 @@ class TestCampaign:
             return Engine(_graph(), grid=GRID)
 
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_elastic_case(make, "NOPE", "crash-shrink")
-        with pytest.raises(ValueError, match="unknown elastic scenario"):
-            run_elastic_case(make, "BFS", "nope")
+            run_case(make, "NOPE", "crash-shrink")
+        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+            run_case(make, "BFS", "nope")

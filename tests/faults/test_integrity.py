@@ -16,6 +16,8 @@ campaign behind ``python -m repro faults --sdc``:
 """
 
 import json
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from repro import Engine, algorithms
 from repro.cli import main
 from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.faults import (
-    SDC_SCENARIOS,
+    SCENARIOS,
     CheckpointManager,
     FaultPlan,
     FaultSpec,
@@ -38,8 +40,8 @@ from repro.faults import (
     certify_cc,
     certify_pagerank,
     certify_sssp,
-    run_sdc_campaign,
-    run_sdc_case,
+    run_campaign,
+    run_case,
 )
 from repro.graph import rmat
 
@@ -415,12 +417,12 @@ class TestCertifiers:
 class TestSdcCases:
     def test_unknown_algo_and_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_sdc_case(mk, "WAT", "memflip-single")
-        with pytest.raises(ValueError, match="unknown SDC scenario"):
-            run_sdc_case(mk, "BFS", "meteor-strike")
+            run_case(mk, "WAT", "memflip-single")
+        with pytest.raises(ValueError, match="unknown scenario"):
+            run_case(mk, "BFS", "meteor-strike")
 
     def test_expected_scenarios_present(self):
-        assert set(SDC_SCENARIOS) == {
+        assert {n for n, s in SCENARIOS.items() if s.kind == "sdc"} == {
             "memflip-single",
             "memflip-burst",
             "memflip-double",
@@ -428,21 +430,21 @@ class TestSdcCases:
 
     @pytest.mark.parametrize("algo", ["BFS", "CC", "PR"])
     def test_single_flip_repairs_bit_identically(self, algo):
-        case = run_sdc_case(mk, algo, "memflip-single")
+        case = run_case(mk, algo, "memflip-single")
         assert case.ok, case.error
-        assert case.status == "repaired"
-        assert case.detected
+        assert case.status == "recovered"
+        assert case.detected == 1
         assert case.values_equal and case.counters_equal and case.clocks_equal
         assert case.repairs == 1
         kinds = [e["kind"] for e in case.fault_events]
         assert "memflip" in kinds and "integrity" in kinds
 
     def test_sssp_repairs_on_weighted_graph(self):
-        case = run_sdc_case(mkw, "SSSP", "memflip-single")
+        case = run_case(mkw, "SSSP", "memflip-single")
         assert case.ok, case.error
 
     def test_double_flip_needs_two_repairs(self):
-        case = run_sdc_case(mk, "PR", "memflip-double")
+        case = run_case(mk, "PR", "memflip-double")
         assert case.ok, case.error
         assert case.repairs == 2
 
@@ -455,10 +457,13 @@ class TestSdcCases:
                 for s in (2, 3, 4, 5)
             ]
         )
-        case = run_sdc_case(
-            mk, "PR", "custom", plan=plan, repair_budget=1
+        scenario = replace(
+            SCENARIOS["memflip-double"],
+            plan=plan,
+            ledger=partial(IntegrityLedger, repair_budget=1),
         )
-        assert case.status == "unrepaired"
+        case = run_case(mk, "PR", scenario)
+        assert case.status == "unrecovered"
         assert case.detected  # loud failure, not silent corruption
         assert "budget exhausted" in case.error
         assert not case.ok
@@ -467,21 +472,21 @@ class TestSdcCases:
 class TestSdcCampaign:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_full_campaign_green_on_both_executors(self, mode):
-        report = run_sdc_campaign(
-            lambda: mk(mode), make_weighted_engine=lambda: mkw(mode)
+        report = run_campaign(
+            lambda: mk(mode), "sdc", make_weighted_engine=lambda: mkw(mode)
         )
-        assert report["schema"] == "repro.faults.sdc.v1"
+        assert report["schema"] == "repro.faults.campaign.v2"
         assert report["total"] == 12  # 3 scenarios x BFS/CC/PR/SSSP
         assert report["failed"] == 0
-        assert report["undetected"] == 0
-        assert report["unrepaired"] == 0
+        assert report["unrecovered"] == 0
+        assert report["detected"] == 16  # every flipped superstep caught
         assert report["skipped"] == []
         # single + burst: 1 repair each x 4 algos; double: 2 x 4.
         assert report["repairs"] == 16
 
     def test_weighted_algos_skip_loudly_without_weighted_factory(self):
-        report = run_sdc_campaign(
-            mk, algos=("BFS", "SSSP"), scenarios=("memflip-single",)
+        report = run_campaign(
+            mk, "sdc", algos=("BFS", "SSSP"), scenarios=("memflip-single",)
         )
         assert report["total"] == 1
         assert report["skipped"] == [
@@ -508,7 +513,7 @@ class TestSdcCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "memflip-single" in out
-        assert "repaired" in out
+        assert "recovered" in out
         assert "0 failed" in out
 
     def test_sdc_report_written_to_disk(self, tmp_path, capsys):
@@ -516,9 +521,10 @@ class TestSdcCLI:
         rc = main(self.ARGS + ["--out", str(out_path)])
         assert rc == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro.faults.sdc.v1"
+        assert report["schema"] == "repro.faults.campaign.v2"
+        assert report["kind"] == "sdc"
         assert report["failed"] == 0
-        assert report["cases"][0]["status"] == "repaired"
+        assert report["cases"][0]["status"] == "recovered"
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -543,4 +549,4 @@ class TestSdcCLI:
         )
         assert rc == 2
         out = capsys.readouterr().out
-        assert "not a --sdc scenario" in out
+        assert "not in the sdc campaign" in out

@@ -203,7 +203,7 @@ class TestAcceptanceMatrix:
         assert case.status == "recovered"
         assert case.values_equal is True
         assert case.counters_equal is True
-        assert case.clocks_equal is True
-        assert case.ok
+        assert case.clocks_equal is True  # all seven lanes
+        assert case.exact and case.ok
         crash_events = [e for e in case.fault_events if e["kind"] == "crash"]
         assert len(crash_events) == 1 and crash_events[0]["fatal"] is True

@@ -1,4 +1,4 @@
-"""Scenario campaign, fault-event traces, and the ``faults`` CLI."""
+"""Campaign framework, fault-event traces, and the ``faults`` CLI."""
 
 import json
 
@@ -8,7 +8,17 @@ import pytest
 from repro import Engine, algorithms
 from repro.cli import main
 from repro.core.trace import TraceRecorder
-from repro.faults import FaultPlan, FaultSpec, run_campaign, run_case
+from repro.faults import (
+    KINDS,
+    SCENARIOS,
+    CaseResult,
+    FaultPlan,
+    FaultSpec,
+    run_campaign,
+    run_case,
+    select_cases,
+)
+from repro.faults.scenarios import differing_lanes
 from repro.graph import rmat
 
 
@@ -45,21 +55,97 @@ class TestRunCase:
         assert case.status == "completed" and case.ok
         assert case.fault_events[0]["kind"] == "straggler"
 
+    @pytest.mark.parametrize("algo", ["BFS", "PR", "CC"])
+    def test_second_crash_resumes_again(self, algo):
+        """Each crash escaping its retries resumes from the latest
+        checkpoint; the twice-resumed run is still bit-identical."""
+        plan = FaultPlan(
+            [FaultSpec("crash", 2, rank=1), FaultSpec("crash", 3, rank=2)]
+        )
+        case = run_case(mk, algo, "x", plan=plan)
+        assert case.status == "recovered", case.error
+        assert case.values_equal and case.counters_equal and case.clocks_equal
+        assert case.ok
+        assert [e["kind"] for e in case.fault_events] == ["crash", "crash"]
+
+
+class TestScenarioTable:
+    def test_every_kind_has_scenarios_and_defaults(self):
+        assert set(KINDS) == {"basic", "elastic", "autoscale", "sdc"}
+        assert {s.kind for s in SCENARIOS.values()} == set(KINDS)
+        assert len(SCENARIOS) == 16
+        assert KINDS["elastic"]["ranks"] == 12
+        assert {KINDS[k]["ranks"] for k in ("basic", "autoscale", "sdc")} == {4}
+
+    def test_default_selection_leaves_out_unprotected_scenarios(self):
+        algos, scenarios = select_cases("basic")
+        assert algos == KINDS["basic"]["algos"]
+        assert "crash-unrecovered" not in scenarios
+        assert select_cases("basic", scenarios=["crash-unrecovered"])[1] == (
+            "crash-unrecovered",
+        )
+
+    def test_selection_errors_name_the_choices(self):
+        with pytest.raises(ValueError, match="unknown campaign kind"):
+            select_cases("chaos")
+        with pytest.raises(ValueError, match="unknown algorithm 'NOPE'.*BFS"):
+            select_cases("basic", algos=["NOPE"])
+        with pytest.raises(ValueError, match="not in the elastic campaign.*crash-shrink"):
+            select_cases("elastic", scenarios=["memflip-single"])
+
+
+class TestGrader:
+    def _case(self, **kw):
+        fields = dict(
+            scenario="crash-recover",
+            kind="basic",
+            algo="BFS",
+            status="recovered",
+            exact=True,
+            values_equal=True,
+            values_close=True,
+            counters_equal=True,
+            lanes_differ=[],
+        )
+        return CaseResult(**{**fields, **kw})
+
+    def test_exact_case_fails_on_a_single_differing_lane(self):
+        assert self._case().ok
+        assert not self._case(lanes_differ=["overlap"]).ok
+        assert not self._case(counters_equal=False).ok
+        # Non-exact scenarios only grade values and expected counts.
+        assert self._case(exact=False, lanes_differ=["overlap"]).ok
+
+    def test_expected_counts_are_graded(self):
+        assert self._case(expect={"regrids": 1}, regrids=1).ok
+        assert not self._case(expect={"regrids": 1}, regrids=2).ok
+        assert not self._case(expect={"detected": 2}, detected=1).ok
+
+    def test_differing_lanes_names_each_lane(self):
+        ref, other = mk(), mk()
+        algorithms.bfs(ref, root=0)
+        algorithms.bfs(other, root=0)
+        assert differing_lanes(ref.clocks, other.clocks) == []
+        other.clocks.overlap[0] += 1e-9
+        assert differing_lanes(ref.clocks, other.clocks) == ["overlap"]
+
 
 class TestRunCampaign:
     def test_default_campaign_report_shape(self):
-        report = run_campaign(mk, algos=("BFS", "PR"))
-        assert report["schema"] == "repro.faults.campaign.v1"
+        report = run_campaign(mk, "basic", algos=("BFS", "PR"))
+        assert report["schema"] == "repro.faults.campaign.v2"
+        assert report["kind"] == "basic"
         assert report["total"] == 8  # 4 default scenarios x 2 algos
         assert report["failed"] == 0
         assert report["unrecovered"] == 0
+        assert report["recovered"] == 2  # crash-recover x 2 algos
         for case in report["cases"]:
             assert case["ok"] is True
             assert case["values_equal"] is True
 
     def test_campaign_counts_unrecovered(self):
         report = run_campaign(
-            mk, algos=("BFS",), scenarios=("crash-unrecovered",)
+            mk, "basic", algos=("BFS",), scenarios=("crash-unrecovered",)
         )
         assert report["failed"] == 1
         assert report["unrecovered"] == 1
@@ -164,11 +250,12 @@ class TestFaultsCLI:
         )
         assert rc == 0
         report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro.faults.campaign.v1"
+        assert report["schema"] == "repro.faults.campaign.v2"
+        assert report["kind"] == "basic"
         assert report["cases"][0]["algo"] == "PR"
         capsys.readouterr()
 
     def test_bad_algo_rejected(self, capsys):
         rc = main(["faults", "--algos", "NOPE"])
         assert rc == 2
-        capsys.readouterr()
+        assert "unknown algorithm 'NOPE'" in capsys.readouterr().out
