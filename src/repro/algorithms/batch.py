@@ -40,6 +40,7 @@ from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
+from ..queueing.frontier import expand_csr
 from .bfs import ALPHA, BETA, bfs
 from .pagerank import compute_global_degrees, pagerank
 from .sssp import sssp
@@ -80,6 +81,22 @@ def _lane_frontier_sizes(
         if lanes.size:
             total += np.bincount(lanes, minlength=k)
     return total
+
+
+def _alias_row_lids(engine: Engine, entry, leader: int, rank: int):
+    """A row-group leader's ``(row_lids, lanes)`` list in ``rank``'s LIDs.
+
+    Members of a row group own the same row vertices, but on grids with
+    ``R < C`` their row windows can start at different local offsets,
+    so the leader's LIDs are shifted by the offset difference.
+    """
+    shift = (
+        engine.ctx(rank).localmap.row_offset - engine.ctx(leader).localmap.row_offset
+    )
+    if not shift:
+        return entry
+    lids, lanes = entry
+    return lids + shift, lanes
 
 
 def _check_resumed_sources(saved, requested, what: str) -> None:
@@ -232,6 +249,12 @@ def bfs_batch(
         return row_tab, col_tab
 
     gid_tab = engine.map_ranks(gid_tables)
+    # The top-down kernel runs rank-fused over the stacked CSR: candidate
+    # parents come from one stacked row table, and a rank's row LIDs
+    # become stacked rows by a per-rank shift.
+    lay = engine.stacked_csr()
+    row_gid_stacked = np.concatenate([t[0] for t in gid_tab])
+    row_to_stacked = lay.row_base[:-1] - lay.row_offset
 
     # Every rank in a row group holds the identical row-window state
     # after each exchange, so frontier lists are computed once by the
@@ -280,32 +303,36 @@ def bfs_batch(
 
         result = None
         if push_set.any():
-            # Top-down lanes: one fused expansion over every push
-            # lane's frontier, one fused sparse exchange.
-            def top_down(ctx):
-                parent = ctx.get("parent")
-                lids, lanes_f = frontier[ctx.rank]
-                sel = push_set[lanes_f]
-                rows, rlanes = lids[sel], lanes_f[sel]
-                degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
-                engine.charge_edges(ctx.rank, degs)
-                src, dst, _ = ctx.expand(rows)
-                if dst.size == 0:
-                    return _EMPTY_I64, _EMPTY_I64
-                edge_lanes = np.repeat(rlanes, degs)
-                unvisited = parent[dst, edge_lanes] == INF
-                src = src[unvisited]
-                dst = dst[unvisited]
-                edge_lanes = edge_lanes[unvisited]
-                cand_parent = gid_tab[ctx.rank][0][
-                    src - ctx.row_slice.start
-                ]
-                return scatter_reduce_lanes(
-                    parent, dst, cand_parent, "min", lanes=edge_lanes
-                )
-
-            queues = engine.map_ranks(top_down)
-            result = sparse_push_lanes(engine, "parent", queues, op="min")
+            # Top-down lanes: one rank-fused expansion of every push
+            # lane's frontier on every rank through the stacked CSR, one
+            # lane scatter into the rank-stacked parents, one fused
+            # sparse exchange.
+            parent = engine.stacked_full("parent")
+            f_len = np.array([f[0].size for f in frontier], dtype=np.int64)
+            f_lids = np.concatenate([f[0] for f in frontier])
+            f_lanes = np.concatenate([f[1] for f in frontier])
+            f_rank = np.repeat(np.arange(grid.n_ranks), f_len)
+            sel = push_set[f_lanes]
+            rank_sel = f_rank[sel]
+            rows = f_lids[sel] + row_to_stacked[rank_sel]
+            rlanes = f_lanes[sel]
+            degs = lay.degrees[rows]
+            engine.charge_edges_ranks(
+                np.bincount(rank_sel, minlength=grid.n_ranks), degs
+            )
+            src, dst, _ = expand_csr(lay.indptr, lay.indices, rows)
+            edge_lanes = np.repeat(rlanes, degs)
+            unvisited = parent[dst, edge_lanes] == INF
+            ch_idx, ch_lanes = scatter_reduce_lanes(
+                parent,
+                dst[unvisited],
+                row_gid_stacked[src[unvisited]],
+                "min",
+                lanes=edge_lanes[unvisited],
+            )
+            result = sparse_push_lanes(
+                engine, "parent", lay.unstack(ch_idx, ch_lanes), op="min"
+            )
             n_upd += result.n_updated
 
         flags_handle = None
@@ -429,55 +456,56 @@ def bfs_batch(
         pull_cont[pull_lanes] = True
         pull_cont &= cont
 
-        def fresh_levels(ctx):
-            parent = ctx.get("parent")
-            level = ctx.get("level")
-            fresh = None
-            if result is not None and not pull_cont.any():
-                # Pure push superstep: the exchange already names every
-                # cell it may have written (changed ghosts, the local
-                # update queue, and the active owned rows).  Every cell
-                # with a finite parent and an unset level was written
-                # *this* superstep — earlier supersteps stamped theirs
-                # — so stamping the touched cells with ``level == INF``
-                # reaches exactly the set the full scan would, without
-                # scanning the whole window.
-                cl, cn = result.active_col[ctx.rank]
-                al, an = result.active_row[ctx.rank]
-                tl = np.concatenate([cl, al])
-                tn = np.concatenate([cn, an])
-                unset = level[tl, tn] == INF
-                level[tl[unset], tn[unset]] = depth
-            else:
-                pflat = parent.reshape(-1)
-                lflat = level.reshape(-1)
-                mask = (pflat != INF) & (lflat == INF)
-                np.copyto(lflat, depth, where=mask)
-                if ctx.rank == row_leader[ctx.rank] and pull_cont.any():
-                    fresh = np.flatnonzero(mask)
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            # Next frontier: push lanes keep the exchange's active rows
-            # (lane-major, unique); pull lanes reuse the flat ``fresh``
-            # indices just computed — a divmod (shift/mask when k is a
-            # power of two) recovers (lid, lane) pairs in lid-major
-            # order.  Each lane's entries come from exactly one part
-            # (disjoint lane sets) with LIDs ascending within the lane,
-            # which is all downstream consumers need: expansion order
-            # only matters per lane, and per-lane deg sums extract
-            # their own subsequence.  Only row-group leaders extract —
-            # the group shares one row window, so the main loop aliases
-            # their lists to the other members.
-            if ctx.rank != row_leader[ctx.rank]:
-                return None
+        # Stamp freshly visited cells with this depth, rank-fused over
+        # the rank-stacked parent/level buffers.
+        parent = engine.stacked_full("parent")
+        level = engine.stacked_full("level")
+        base = lay.state_base
+        fresh_flat = None
+        if result is not None and not pull_cont.any():
+            # Pure push superstep: the exchange already names every
+            # cell it may have written (changed ghosts, the local update
+            # queue, and the active owned rows).  Every cell with a
+            # finite parent and an unset level was written *this*
+            # superstep — earlier supersteps stamped theirs — so
+            # stamping the touched cells with ``level == INF`` reaches
+            # exactly the set the full scan would, without scanning the
+            # whole window.
+            touched = result.active_col + result.active_row
+            t_len = np.array([t[0].size for t in touched], dtype=np.int64)
+            tl = np.concatenate([t[0] for t in touched]) + np.repeat(
+                np.concatenate([base[:-1], base[:-1]]), t_len
+            )
+            tn = np.concatenate([t[1] for t in touched])
+            unset = level[tl, tn] == INF
+            level[tl[unset], tn[unset]] = depth
+        else:
+            pflat = parent.reshape(-1)
+            lflat = level.reshape(-1)
+            fresh_flat = (pflat != INF) & (lflat == INF)
+            np.copyto(lflat, depth, where=fresh_flat)
+        engine.charge_vertices_ranks(np.diff(base))
+
+        # Next frontier: push lanes keep the exchange's active rows
+        # (lane-major, unique); pull lanes take the fresh row-window
+        # cells — a divmod (shift/mask when k is a power of two)
+        # recovers (lid, lane) pairs in lid-major order.  Each lane's
+        # entries come from exactly one part (disjoint lane sets) with
+        # LIDs ascending within the lane, which is all downstream
+        # consumers need: expansion order only matters per lane, and
+        # per-lane deg sums extract their own subsequence.  Only
+        # row-group leaders extract — the group shares one row window,
+        # so the other members alias the leader's list.
+        def leader_frontier(r: int):
             out_l: list[np.ndarray] = []
             out_n: list[np.ndarray] = []
             if result is not None:
-                al, an = result.active_row[ctx.rank]
+                al, an = result.active_row[r]
                 keep = cont[an]
                 out_l.append(al[keep])
                 out_n.append(an[keep])
             if pull_cont.any():
-                rs = ctx.row_slice
+                fresh = np.flatnonzero(fresh_flat[base[r] * k : base[r + 1] * k])
                 if k & (k - 1) == 0:
                     shift = k.bit_length() - 1
                     fl = fresh >> shift
@@ -485,8 +513,9 @@ def bfs_batch(
                 else:
                     fl = fresh // k
                     fn = fresh - fl * k
+                rs = engine.ctx(r).row_slice
                 sel = pull_cont[fn]
-                if rs.start > 0 or rs.stop < level.shape[0]:
+                if rs.start > 0 or rs.stop < base[r + 1] - base[r]:
                     sel &= (fl >= rs.start) & (fl < rs.stop)
                 out_l.append(fl[sel])
                 out_n.append(fn[sel])
@@ -494,8 +523,11 @@ def bfs_batch(
                 return _EMPTY_I64, _EMPTY_I64
             return np.concatenate(out_l), np.concatenate(out_n)
 
-        leader_frontier = engine.map_ranks(fresh_levels)
-        new_frontier = [leader_frontier[row_leader[r]] for r in range(grid.n_ranks)]
+        leaders = {r: leader_frontier(r) for r in sorted(set(row_leader))}
+        new_frontier = [
+            _alias_row_lids(engine, leaders[row_leader[r]], row_leader[r], r)
+            for r in range(grid.n_ranks)
+        ]
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
         m_new = np.zeros(k)

@@ -31,6 +31,7 @@ from ..kernels import scatter_reduce
 from ..patterns.dense import dense_exchange
 from ..patterns.sparse import propagate_active_pull, sparse_pull, sparse_push
 from ..patterns.switching import SwitchPolicy
+from ..queueing.frontier import expand_csr
 
 __all__ = ["connected_components", "CC_VARIANTS"]
 
@@ -70,20 +71,17 @@ def _init_labels(engine: Engine) -> None:
 def _compute_push(engine: Engine, rows_per_rank) -> list[np.ndarray]:
     """Local push kernels: labels flow src -> ghost neighbors.
 
-    Returns the per-rank queues of changed column-vertex LIDs.
+    Rank-fused: every rank's queue is expanded through the stacked CSR
+    in one pass and reduced into the rank-stacked labels by one
+    scatter; each rank is still charged its own kernel.  Returns the
+    per-rank queues of changed column-vertex LIDs.
     """
-
-    def push(ctx):
-        rows = rows_per_rank[ctx.rank]
-        state = ctx.get(_STATE)
-        degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
-        engine.charge_edges(ctx.rank, degs)
-        src, dst, _ = ctx.expand(rows)
-        if dst.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return scatter_reduce(state, dst, state[src], "min")
-
-    return engine.map_ranks(push)
+    state = engine.stacked_full(_STATE)
+    lay = engine.stacked_csr()
+    rows, lengths = lay.stack_rows(rows_per_rank)
+    engine.charge_edges_ranks(lengths, lay.degrees[rows])
+    src, dst, _ = expand_csr(lay.indptr, lay.indices, rows)
+    return lay.unstack(scatter_reduce(state, dst, state[lay.row_state[src]], "min"))
 
 
 def _compute_pull(engine: Engine, rows_per_rank) -> list[np.ndarray]:

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .config import GPUSpec
 from .topology import GroupProfile, Topology
 
@@ -149,6 +151,20 @@ class CostModel:
         t += n_vertices / self.gpu.vertex_rate
         t += (n_edges * work_per_edge) / (self.gpu.edge_rate * balance)
         return t
+
+    def kernel_times(self, n_vertices, n_edges=0, balance=1.0) -> np.ndarray:
+        """:meth:`kernel_time` of one single-launch, unit-work kernel per
+        rank, element-wise.
+
+        Array arguments hold one entry per rank.  Every entry is
+        bit-identical to the scalar call: the same operations in the
+        same order, with ``launches=1`` and ``work_per_edge=1.0``
+        multiplying exactly.
+        """
+        if not np.all((balance > 0.0) & (balance <= 1.0)):
+            raise ValueError(f"balance must be in (0, 1], got {balance}")
+        t = self.gpu.kernel_launch_s + np.asarray(n_vertices) / self.gpu.vertex_rate
+        return t + n_edges / (self.gpu.edge_rate * balance)
 
     def spmv_time(self, n_edges: int, n_vertices: int = 0) -> float:
         """Time of a tuned SpMV over ``n_edges`` (linear-algebra path)."""

@@ -118,6 +118,22 @@ class VirtualClocks:
         self.clock[rank] += seconds
         self.compute[rank] += seconds
 
+    def add_compute_ranks(self, seconds: np.ndarray) -> None:
+        """Advance every rank's clock by its own local kernel time.
+
+        ``seconds[r]`` is rank ``r``'s charge: the batched form of one
+        :meth:`add_compute` per rank, with identical per-lane results.
+        """
+        seconds = np.asarray(seconds, dtype=np.float64)
+        if seconds.shape != self.clock.shape:
+            raise ValueError(
+                f"need one charge per rank ({self.n_ranks}), got shape {seconds.shape}"
+            )
+        if np.any(seconds < 0):
+            raise ValueError(f"negative compute time {seconds.min()}")
+        self.clock += seconds
+        self.compute += seconds
+
     def sync_group(self, ranks: Sequence[int], seconds: float) -> None:
         """Synchronize a group and charge a collective of ``seconds``.
 

@@ -277,9 +277,11 @@ class Communicator:
         arrays = [np.asarray(b) for b in send_buffers]
         # Preserve the send-buffer dtype even when every buffer is empty
         # (structured consumers index fields like rbuf["gid"], which a
-        # plain float64 np.empty(0) would break).
+        # plain float64 np.empty(0) would break).  The dtype is checked
+        # uniform above; naming it spares NumPy a field-by-field
+        # promotion pass on structured buffers.
         result = (
-            np.concatenate(arrays)
+            np.concatenate(arrays, dtype=arrays[0].dtype)
             if any(a.size for a in arrays)
             else np.empty(0, dtype=arrays[0].dtype if arrays else np.float64)
         )

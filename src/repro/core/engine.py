@@ -38,7 +38,13 @@ from ..comm.grid import Grid2D, square_grid
 from ..exec import RankExecutor, resolve_executor
 from ..graph.csr import Graph
 from ..graph.partition.twod import TwoDPartition, partition_2d
-from ..queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
+from ..queueing.frontier import StackedCSR
+from ..queueing.manhattan import (
+    manhattan_schedule,
+    manhattan_schedule_segments,
+    vertex_per_thread_balance,
+    vertex_per_thread_segments,
+)
 from .context import RankContext
 from .result import TimingReport
 
@@ -195,6 +201,10 @@ class Engine:
         # *shared* across rebuild_on_grid generations so the final
         # engine's fault_events tells the whole run's story.
         self._regrid_events: list[dict] = []
+        # Rank-stacked state (see stacked) and the stacked CSR the
+        # rank-fused stages expand; both host-side, built on first use.
+        self._stacks: dict[str, tuple[np.ndarray, np.ndarray, list]] = {}
+        self._stacked_csr: Optional[StackedCSR] = None
         self.executor: RankExecutor = resolve_executor(executor)
         # Precomputed eagerly (the cluster and grid are immutable) so a
         # concurrent first call cannot race a half-built memo.
@@ -312,8 +322,64 @@ class Engine:
 
     def free(self, name: str) -> None:
         self._require_state(name)
+        self._stacks.pop(name, None)
         for ctx in self.contexts:
             ctx.free(name)
+
+    def stacked(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every rank's ``name`` state as one rank-stacked buffer.
+
+        Returns ``(buffer, base)``: rank ``r``'s array is
+        ``buffer[base[r]:base[r + 1]]`` (rows, for ``(N_T, k)`` lane
+        states).  When every rank's array already is that view — the
+        common case, checked by identity in O(p) — the buffer is
+        returned as is.  Otherwise the ranks' arrays are concatenated
+        once and each ``ctx.arrays[name]`` is rebound to its view:
+        values are preserved, the device ledger is unchanged, and
+        ``ctx.get`` keeps working everywhere.  A re-``alloc`` with a new
+        shape or dtype, ``adopt`` or ``restore`` of a differently shaped
+        array simply breaks the identity, and the next call restacks.
+
+        With empty rank blocks consecutive bases repeat, so a
+        rank-of-index lookup must use
+        ``np.searchsorted(base, idx, side="right") - 1``.
+        """
+        arrays = [ctx.get(name) for ctx in self.contexts]
+        cached = self._stacks.get(name)
+        if cached is not None and all(a is v for a, v in zip(arrays, cached[2])):
+            return cached[0], cached[1]
+        first = arrays[0]
+        for ctx, a in zip(self.contexts, arrays):
+            if a.dtype != first.dtype or a.shape[1:] != first.shape[1:]:
+                raise ValueError(
+                    f"cannot stack state {name!r}: rank {ctx.rank} holds "
+                    f"{a.dtype} {a.shape}, rank 0 holds {first.dtype} {first.shape}"
+                )
+        base = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum([a.shape[0] for a in arrays], out=base[1:])
+        buf = np.concatenate(arrays)
+        views = [buf[base[r] : base[r + 1]] for r in range(len(arrays))]
+        for ctx, view in zip(self.contexts, views):
+            ctx.arrays[name] = view
+        self._stacks[name] = (buf, base, views)
+        return buf, base
+
+    def stacked_csr(self) -> StackedCSR:
+        """The partition's blocks as one :class:`StackedCSR` (cached;
+        a regridded engine builds its own)."""
+        if self._stacked_csr is None:
+            self._stacked_csr = StackedCSR.from_blocks(self.partition.blocks)
+        return self._stacked_csr
+
+    def stacked_full(self, name: str) -> np.ndarray:
+        """:meth:`stacked` for a state spanning every rank's full LID
+        space — the layout the :meth:`stacked_csr` indices address."""
+        buf, base = self.stacked(name)
+        if not np.array_equal(base, self.stacked_csr().state_base):
+            raise ValueError(
+                f"state {name!r} does not span each rank's [0, N_T) LID space"
+            )
+        return buf
 
     def _require_state(self, name: str) -> None:
         """Raise a KeyError naming the allocated states when no rank
@@ -411,6 +477,30 @@ class Engine:
             n_vertices=n_vertices, launches=launches
         )
         self.clocks.add_compute(rank, t)
+
+    def charge_edges_ranks(
+        self, lengths: np.ndarray, queue_degrees: np.ndarray
+    ) -> None:
+        """:meth:`charge_edges` for every rank in one batched call.
+
+        ``queue_degrees`` concatenates the ranks' queue degrees in rank
+        order and ``lengths[r]`` is rank ``r``'s queue length.  The
+        schedule model runs segmented, one segment per rank, and each
+        rank's clock gets exactly the charge :meth:`charge_edges` would
+        give it.
+        """
+        if self.load_balance == "manhattan":
+            stats = manhattan_schedule_segments(queue_degrees, lengths)
+        else:
+            stats = vertex_per_thread_segments(queue_degrees, lengths)
+        self.clocks.add_compute_ranks(
+            self.costmodel.kernel_times(lengths, stats.total_edges, stats.balance)
+        )
+
+    def charge_vertices_ranks(self, n_vertices: np.ndarray) -> None:
+        """:meth:`charge_vertices` for every rank: rank ``r`` is charged
+        a kernel over ``n_vertices[r]`` vertices."""
+        self.clocks.add_compute_ranks(self.costmodel.kernel_times(n_vertices))
 
     # ------------------------------------------------------------------
     # robustness: fault injection and checkpoint/recovery (repro.faults)

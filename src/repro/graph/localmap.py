@@ -26,7 +26,8 @@ or ``C_offset_C``) and length — regardless of row/column overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,10 @@ class LocalMap:
     """Arithmetic GID<->LID mapping for one rank's row/column ranges.
 
     Parameters are global-ID ranges: rows ``[row_start, row_stop)`` and
-    columns ``[col_start, col_stop)``.
+    columns ``[col_start, col_stop)``.  The derived geometry (``type``,
+    offsets, ``n_total`` and the slices) is computed on first access and
+    cached on the instance; equality, hashing and pickles see only the
+    four fields.
     """
 
     row_start: int
@@ -49,6 +53,10 @@ class LocalMap:
     def __post_init__(self) -> None:
         if self.row_stop < self.row_start or self.col_stop < self.col_start:
             raise ValueError("ranges must be non-decreasing")
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only, never the cached geometry.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Table 1 quantities
@@ -63,21 +71,21 @@ class LocalMap:
         """``N_C``: vertices in the rank's column group."""
         return self.col_stop - self.col_start
 
-    @property
+    @cached_property
     def type(self) -> int:
         """The mapping ``Type`` (0, 1 or 2; see module docstring)."""
         if self.row_stop <= self.col_start or self.col_stop <= self.row_start:
             return 0
         return 1 if self.row_start <= self.col_start else 2
 
-    @property
+    @cached_property
     def row_offset(self) -> int:
         """``C_offset_R``: first local ID of the row vertices."""
         if self.type == 2:
             return self.row_start - self.col_start
         return 0
 
-    @property
+    @cached_property
     def col_offset(self) -> int:
         """``C_offset_C``: first local ID of the column vertices."""
         t = self.type
@@ -87,7 +95,7 @@ class LocalMap:
             return self.col_start - self.row_start
         return 0
 
-    @property
+    @cached_property
     def n_total(self) -> int:
         """``N_T``: unique row+column vertices (size of the LID space)."""
         t = self.type
@@ -129,12 +137,12 @@ class LocalMap:
         gids = np.asarray(gids)
         return (gids >= self.col_start) & (gids < self.col_stop)
 
-    @property
+    @cached_property
     def row_slice(self) -> slice:
         """LID slice of the row vertices in a state array."""
         return slice(self.row_offset, self.row_offset + self.n_row)
 
-    @property
+    @cached_property
     def col_slice(self) -> slice:
         """LID slice of the column vertices in a state array."""
         return slice(self.col_offset, self.col_offset + self.n_col)

@@ -21,27 +21,28 @@ locally-updated row vertices are unioned into the second-stage queue
 the CUDA code, but their values still must travel to the rest of the
 row group).
 
-Each stage runs in three phases shaped for the rank executor
-(:mod:`repro.exec`): a **parallel build** of every rank's send buffer
-(row and column groups each partition the rank set, so the per-rank
-builds touch disjoint state and clock lanes), the **sequential
-collectives** over the groups in order (they mutate shared counters
-and synchronize group clocks), and a **parallel apply** of each
-group's received buffer.  This is bit-identical to the historical
-fully-serial interleaving — see docs/PERF.md.
+Each stage runs in three phases: **build** every rank's send buffer,
+run the **sequential collectives** over the groups in order (they
+mutate shared counters and synchronize group clocks), and **apply**
+each group's received buffer.  :func:`sparse_push` and
+:func:`sparse_push_lanes` are *rank-fused*: the build is one gather
+over the rank-stacked state (:meth:`~repro.core.engine.Engine.stacked`)
+whose per-rank slices are the send buffers, and the apply is one
+reduction over every rank's receive indices, rank-major — each rank is
+still charged its own kernels (see "Rank-fused stages" in
+docs/PERF.md).  :func:`sparse_pull` and :func:`propagate_active_pull`
+still run per-rank closures through the rank executor
+(:mod:`repro.exec`), recycling send buffers through each rank's own
+:meth:`~repro.core.context.RankContext.scratch_pool`.  Either way the
+result is bit-identical to the historical fully-serial interleaving.
 
 On an overlapped engine (``Engine(overlap=True)``) each stage's group
 exchanges are *issued* split-phase instead: data and counters
-materialize at issue, the parallel apply runs against the in-flight
-buffers, and the comm-time charge lands at the trailing ``wait`` —
-hiding the apply compute behind each group's own exchange.  Values,
-counters, and the compute/comm lanes stay bit-identical to a blocking
-run; only exposed time shrinks (see docs/MODEL.md).
-
-Send buffers are recycled through each rank's own
-:meth:`~repro.core.context.RankContext.scratch_pool` (takes happen in
-the parallel build, gives in the sequential collective phase, so a
-pool never sees concurrent calls).
+materialize at issue, the apply runs against the in-flight buffers,
+and the comm-time charge lands at the trailing ``wait`` — hiding the
+apply compute behind each group's own exchange.  Values, counters,
+and the compute/comm lanes stay bit-identical to a blocking run; only
+exposed time shrinks (see docs/MODEL.md).
 
 The functions return a :class:`SparseResult` carrying the per-rank
 active row-vertex queues (paper §3.4.1) and the global count of
@@ -144,7 +145,7 @@ def _apply_op(
     op: str,
     reduce_fn: Optional[ReduceFn],
 ) -> np.ndarray:
-    """Apply the reduction; return unique LIDs whose value changed.
+    """Apply the reduction; return sorted unique LIDs whose value changed.
 
     ``op`` is one of ``"min"``/``"max"``/``"sum"`` (``"sum"`` has delta
     semantics: callers send deltas, not absolutes).  Change detection is
@@ -153,8 +154,58 @@ def _apply_op(
     leave the vertex out of the changed set.
     """
     if reduce_fn is not None:
-        return np.asarray(reduce_fn(state, lids, vals), dtype=np.int64)
+        return np.unique(np.asarray(reduce_fn(state, lids, vals), dtype=np.int64))
     return scatter_reduce(state, lids, vals, op)
+
+
+# ----------------------------------------------------------------------
+# rank-fused stage helpers (see "Rank-fused stages" in docs/PERF.md)
+# ----------------------------------------------------------------------
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    """``(p + 1,)`` offsets of rank-major segments of ``lengths``."""
+    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _split(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """Rank-major ``values`` cut into per-rank slices at ``bounds``."""
+    return [values[bounds[r] : bounds[r + 1]] for r in range(bounds.size - 1)]
+
+
+def _exchange(
+    engine: Engine,
+    groups,
+    sbufs: list[np.ndarray],
+    nic_sharing: int,
+    handles: list,
+) -> list[np.ndarray]:
+    """Each group's AllGatherv, sequential and in group order; returns
+    every rank's receive buffer (group members share one array)."""
+    rbuf_of: list = [None] * engine.n_ranks
+    for _, ranks in groups:
+        rbuf = _group_allgatherv(
+            engine, ranks, [sbufs[r] for r in ranks], nic_sharing, handles
+        )
+        for r in ranks:
+            rbuf_of[r] = rbuf
+    return rbuf_of
+
+
+def _received(rbuf_of: list[np.ndarray], shift: np.ndarray):
+    """Rank-major replicated receive stream: every rank's buffer in rank
+    order, with its GIDs turned into stacked state indices (``gid +
+    shift[rank]``).  Returns ``(stacked_idx, records, lengths)``."""
+    lengths = np.array([b.size for b in rbuf_of], dtype=np.int64)
+    recs = np.concatenate(rbuf_of, dtype=rbuf_of[0].dtype)
+    return recs["gid"] + np.repeat(shift, lengths), recs, lengths
+
+
+def _stacked_queues(queues, base: np.ndarray):
+    """Per-rank local-LID queues -> ``(stacked_idx, lengths)``."""
+    lengths = np.array([len(q) for q in queues], dtype=np.int64)
+    flat = np.concatenate([np.asarray(q, dtype=np.int64) for q in queues])
+    return flat + np.repeat(base[:-1], lengths), lengths
 
 
 def sparse_push(
@@ -174,87 +225,75 @@ def sparse_push(
         convention).
     op / reduce_fn:
         Reduction applied in ``ReduceQueue``; ``reduce_fn`` overrides
-        ``op`` for complex reductions (paper §3.3.3).
+        ``op`` for complex reductions (paper §3.3.3).  It is called
+        once on the rank-stacked state with every rank's receive
+        indices, so it must act element-wise on the indices it is
+        given.
+
+    Every stage is rank-fused: one gather builds every rank's send
+    buffer, and one reduction applies every rank's receive buffer over
+    the rank-stacked state (:meth:`Engine.stacked`).
     """
-    grid = engine.grid
+    p = engine.n_ranks
+    n_v = engine.partition.n_vertices
     col_share = engine.stage_nic_sharing("col")
     row_share = engine.stage_nic_sharing("row")
+    state = engine.stacked_full(name)
+    lay = engine.stacked_csr()
+    base = lay.state_base
 
     # ---- stage 1: AllGatherv + reduce along each column group -------
-    def build_col(ctx: RankContext) -> np.ndarray:
-        q = np.asarray(queues[ctx.rank], dtype=np.int64)
-        engine.charge_vertices(ctx.rank, q.size)  # BuildQueue kernel
-        state = ctx.get(name)
-        return _pairs(ctx, ctx.localmap.col_gid(q), state[q])
-
-    sbufs_all = engine.map_ranks(build_col)
-
+    q_idx, q_len = _stacked_queues(queues, base)
+    engine.charge_vertices_ranks(q_len)  # BuildQueue kernel
+    send = np.empty(q_idx.size, dtype=PAIR_DTYPE)
+    send["gid"] = q_idx - np.repeat(lay.col_shift, q_len)
+    send["val"] = state[q_idx]
     handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
-
-    def apply_col(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        lids = lm.col_lid(rbuf["gid"])
-        changed = _apply_op(state, lids, rbuf["val"], op, reduce_fn)
-        engine.charge_vertices(ctx.rank, rbuf.size)  # ReduceQueue kernel
-        # Row-stage queue: changed ghosts plus this rank's own local
-        # updates, restricted to row-owned vertices.
-        cand = np.concatenate(
-            [
-                lm.col_gid(changed),
-                lm.col_gid(np.asarray(queues[ctx.rank], dtype=np.int64)),
-            ]
-        )
-        return np.unique(cand[lm.owns_row_gid(cand)])
-
-    row_queues_gids = engine.map_ranks(apply_col)
+    rbuf_of = _exchange(
+        engine, engine.col_groups(), _split(send, _bounds(q_len)), col_share, handles
+    )
+    lids, recs, r_len = _received(rbuf_of, lay.col_shift)
+    changed = _apply_op(state, lids, recs["val"], op, reduce_fn)
+    engine.charge_vertices_ranks(r_len)  # ReduceQueue kernel
+    # Row-stage queues: changed ghosts plus each rank's own local
+    # updates, restricted to row-owned vertices, deduplicated per rank
+    # through one rank-major composite ``rank * n_v + gid``.
+    ch_len = np.diff(np.searchsorted(changed, base))
+    cand = np.concatenate([changed, q_idx])
+    cand_rank = np.concatenate(
+        [np.repeat(np.arange(p), ch_len), np.repeat(np.arange(p), q_len)]
+    )
+    gid = cand - lay.col_shift[cand_rank]
+    owned = (gid >= lay.row_start[cand_rank]) & (gid < lay.row_stop[cand_rank])
+    comp = unique_bounded(cand_rank[owned] * n_v + gid[owned], p * n_v)
+    row_bounds = np.searchsorted(comp, np.arange(p + 1) * n_v)
+    row_len = np.diff(row_bounds)
+    row_gids = comp - np.repeat(np.arange(p) * n_v, row_len)
     _wait_all(engine, handles)
 
     # ---- stage 2: exchange final values along each row group --------
-    def build_row(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        gids = row_queues_gids[ctx.rank]
-        engine.charge_vertices(ctx.rank, gids.size)
-        state = ctx.get(name)
-        return _pairs(ctx, gids, state[lm.row_lid(gids)])
-
-    sbufs_all = engine.map_ranks(build_row)
-
+    engine.charge_vertices_ranks(row_len)
+    send = np.empty(row_gids.size, dtype=PAIR_DTYPE)
+    send["gid"] = row_gids
+    send["val"] = state[row_gids + np.repeat(lay.row_shift, row_len)]
     handles = []
-    rbuf_of = [None] * grid.n_ranks
-    uniq_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
+    rbuf_of = _exchange(
+        engine, engine.row_groups(), _split(send, row_bounds), row_share, handles
+    )
+    uniq_of: list = [None] * p
     n_updated = 0
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        uniq_gids = np.unique(rbuf["gid"])
-        n_updated += int(uniq_gids.size)
+    for _, ranks in engine.row_groups():
+        uniq = unique_bounded(rbuf_of[ranks[0]]["gid"], n_v)
+        n_updated += int(uniq.size)
         for r in ranks:
-            rbuf_of[r] = rbuf
-            uniq_of[r] = uniq_gids
-
-    def apply_row(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        # Values are final after the column reduction; assignment
-        # (each vertex appears from exactly one root rank).
-        state[lm.row_lid(rbuf["gid"])] = rbuf["val"]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        return lm.row_lid(uniq_of[ctx.rank])
-
-    active_row = engine.map_ranks(apply_row)
+            uniq_of[r] = uniq
+    # Values are final after the column reduction; assignment (each
+    # vertex appears from exactly one root rank).
+    lids, recs, r_len = _received(rbuf_of, lay.row_shift)
+    state[lids] = recs["val"]
+    engine.charge_vertices_ranks(r_len)
+    to_lid = lay.row_offset - lay.row_start
+    active_row = [uniq_of[r] + to_lid[r] for r in range(p)]
     _wait_all(engine, handles)
     return SparseResult(active_row=active_row, n_updated=n_updated)
 
@@ -298,118 +337,90 @@ def sparse_push_lanes(
     order per lane as the 1-D kernel), queue dedup is lane-major (so
     within a lane, GIDs sort exactly as the 1-D ``np.unique``), and the
     final row assignment writes values already made final by the column
-    reduction.
+    reduction.  Stages are rank-fused exactly as in :func:`sparse_push`.
     """
-    grid = engine.grid
+    p = engine.n_ranks
+    n_v = engine.partition.n_vertices
     col_share = engine.stage_nic_sharing("col")
     row_share = engine.stage_nic_sharing("row")
-    n_v = engine.partition.n_vertices
-    k = engine.ctx(0).get(name).shape[1]
-
-    def _lane_pairs(
-        ctx: RankContext, gids: np.ndarray, lanes: np.ndarray, vals: np.ndarray
-    ) -> np.ndarray:
-        buf = ctx.scratch_pool(LANE_PAIR_DTYPE).take(gids.size)
-        buf["gid"] = gids
-        buf["lane"] = lanes
-        buf["val"] = vals
-        return buf
-
-    def _give_back_lanes(sbufs_all: list[np.ndarray], ranks: list[int]) -> None:
-        for r in ranks:
-            engine.ctx(r).scratch_pool(LANE_PAIR_DTYPE).give(sbufs_all[r])
+    state = engine.stacked_full(name)
+    k = state.shape[1]
+    lay = engine.stacked_csr()
+    base = lay.state_base
 
     # ---- stage 1: AllGatherv + lane reduce along each column group --
-    def build_col(ctx: RankContext) -> np.ndarray:
-        lids = np.asarray(queues[ctx.rank][0], dtype=np.int64)
-        lanes = np.asarray(queues[ctx.rank][1], dtype=np.int64)
-        engine.charge_vertices(ctx.rank, lids.size)  # BuildQueue kernel
-        state = ctx.get(name)
-        return _lane_pairs(
-            ctx, ctx.localmap.col_gid(lids), lanes, state[lids, lanes]
-        )
-
-    sbufs_all = engine.map_ranks(build_col)
-
+    q_idx, q_len = _stacked_queues([q[0] for q in queues], base)
+    q_lane = np.concatenate([np.asarray(q[1], dtype=np.int64) for q in queues])
+    engine.charge_vertices_ranks(q_len)  # BuildQueue kernel
+    send = np.empty(q_idx.size, dtype=LANE_PAIR_DTYPE)
+    send["gid"] = q_idx - np.repeat(lay.col_shift, q_len)
+    send["lane"] = q_lane
+    send["val"] = state[q_idx, q_lane]
+    q_bounds = _bounds(q_len)
     handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
-        )
-        _give_back_lanes(sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
-
-    def apply_col(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        lids = lm.col_lid(rbuf["gid"])
-        ch_lids, ch_lanes = scatter_reduce_lanes(
-            state, lids, rbuf["val"], op, lanes=rbuf["lane"]
-        )
-        engine.charge_vertices(ctx.rank, rbuf.size)  # ReduceQueue kernel
-        # Row-stage queue: changed ghosts plus this rank's own local
-        # updates, restricted to row-owned cells; dedup on a lane-major
-        # composite so each lane's GIDs stay in 1-D sorted order.
-        qlids = np.asarray(queues[ctx.rank][0], dtype=np.int64)
-        qlanes = np.asarray(queues[ctx.rank][1], dtype=np.int64)
-        cand_gid = np.concatenate([lm.col_gid(ch_lids), lm.col_gid(qlids)])
-        cand_lane = np.concatenate([ch_lanes, qlanes])
-        owned = lm.owns_row_gid(cand_gid)
-        comp = cand_lane[owned] * n_v + cand_gid[owned]
-        touched = (
-            np.concatenate([ch_lids, qlids]),
-            np.concatenate([ch_lanes, qlanes]),
-        )
-        return unique_bounded(comp, k * n_v), touched
-
-    col_results = engine.map_ranks(apply_col)
-    row_queue_comps = [r[0] for r in col_results]
-    active_col = [r[1] for r in col_results]
+    rbuf_of = _exchange(
+        engine, engine.col_groups(), _split(send, q_bounds), col_share, handles
+    )
+    lids, recs, r_len = _received(rbuf_of, lay.col_shift)
+    ch_idx, ch_lane = scatter_reduce_lanes(
+        state, lids, recs["val"], op, lanes=recs["lane"]
+    )
+    engine.charge_vertices_ranks(r_len)  # ReduceQueue kernel
+    # ``ch_idx`` ascends, so rank boundaries are a searchsorted away.
+    ch_bounds = np.searchsorted(ch_idx, base)
+    ch_len = np.diff(ch_bounds)
+    chi, chl = _split(ch_idx, ch_bounds), _split(ch_lane, ch_bounds)
+    qi, ql = _split(q_idx, q_bounds), _split(q_lane, q_bounds)
+    active_col = [
+        (np.concatenate([chi[r], qi[r]]) - base[r], np.concatenate([chl[r], ql[r]]))
+        for r in range(p)
+    ]
+    # Row-stage queues: changed ghosts plus local updates, restricted to
+    # row-owned cells; one dedup over ``rank·(k·n_v) + lane·n_v + gid``
+    # keeps each rank's queue lane-major with 1-D-sorted GIDs per lane.
+    cand = np.concatenate([ch_idx, q_idx])
+    cand_lane = np.concatenate([ch_lane, q_lane])
+    cand_rank = np.concatenate(
+        [np.repeat(np.arange(p), ch_len), np.repeat(np.arange(p), q_len)]
+    )
+    gid = cand - lay.col_shift[cand_rank]
+    owned = (gid >= lay.row_start[cand_rank]) & (gid < lay.row_stop[cand_rank])
+    span = k * n_v
+    comp = unique_bounded(
+        cand_rank[owned] * span + cand_lane[owned] * n_v + gid[owned], p * span
+    )
+    row_bounds = np.searchsorted(comp, np.arange(p + 1) * span)
+    row_len = np.diff(row_bounds)
+    within = comp - np.repeat(np.arange(p) * span, row_len)
+    row_gids = within % n_v
+    row_lanes = within // n_v
     _wait_all(engine, handles)
 
     # ---- stage 2: exchange final values along each row group --------
-    def build_row(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        comp = row_queue_comps[ctx.rank]
-        gids = comp % n_v
-        lanes = comp // n_v
-        engine.charge_vertices(ctx.rank, gids.size)
-        state = ctx.get(name)
-        return _lane_pairs(ctx, gids, lanes, state[lm.row_lid(gids), lanes])
-
-    sbufs_all = engine.map_ranks(build_row)
-
+    engine.charge_vertices_ranks(row_len)
+    send = np.empty(row_gids.size, dtype=LANE_PAIR_DTYPE)
+    send["gid"] = row_gids
+    send["lane"] = row_lanes
+    send["val"] = state[row_gids + np.repeat(lay.row_shift, row_len), row_lanes]
     handles = []
-    rbuf_of = [None] * grid.n_ranks
-    uniq_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
+    rbuf_of = _exchange(
+        engine, engine.row_groups(), _split(send, row_bounds), row_share, handles
+    )
+    uniq_of: list = [None] * p
     n_updated = np.zeros(k, dtype=np.int64)
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
-        )
-        _give_back_lanes(sbufs_all, ranks)
-        uniq_comp = unique_bounded(rbuf["lane"] * n_v + rbuf["gid"], k * n_v)
-        n_updated += np.bincount(
-            (uniq_comp // n_v).astype(np.int64), minlength=k
-        )
+    for _, ranks in engine.row_groups():
+        rbuf = rbuf_of[ranks[0]]
+        uniq = unique_bounded(rbuf["lane"] * n_v + rbuf["gid"], span)
+        cells = (uniq % n_v, uniq // n_v)
+        n_updated += np.bincount(cells[1], minlength=k)
         for r in ranks:
-            rbuf_of[r] = rbuf
-            uniq_of[r] = uniq_comp
-
-    def apply_row(ctx: RankContext) -> tuple[np.ndarray, np.ndarray]:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        # Values are final after the column reduction; assignment.
-        state[lm.row_lid(rbuf["gid"]), rbuf["lane"]] = rbuf["val"]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        uniq_comp = uniq_of[ctx.rank]
-        return lm.row_lid(uniq_comp % n_v), uniq_comp // n_v
-
-    active_row = engine.map_ranks(apply_row)
+            uniq_of[r] = cells
+    # Values are final after the column reduction; assignment.
+    lids, recs, r_len = _received(rbuf_of, lay.row_shift)
+    state[lids, recs["lane"]] = recs["val"]
+    engine.charge_vertices_ranks(r_len)
+    to_lid = lay.row_offset - lay.row_start
+    active_row = [(uniq_of[r][0] + to_lid[r], uniq_of[r][1]) for r in range(p)]
     _wait_all(engine, handles)
     return LaneSparseResult(
         active_row=active_row, n_updated=n_updated, active_col=active_col

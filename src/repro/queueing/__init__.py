@@ -1,16 +1,20 @@
 """Work queues, frontier expansion, and GPU load-balance models."""
 
-from .frontier import expand_block, expand_csr
+from .frontier import StackedCSR, expand_block, expand_csr
 from .hashtable import HashTable, histogram_via_hash_table
 from .manhattan import (
     BLOCK_SIZE,
     WARP_SIZE,
     ScheduleStats,
+    SegmentedScheduleStats,
     manhattan_schedule,
+    manhattan_schedule_segments,
     vertex_per_thread_balance,
+    vertex_per_thread_segments,
 )
 
 __all__ = [
+    "StackedCSR",
     "expand_block",
     "expand_csr",
     "HashTable",
@@ -18,6 +22,9 @@ __all__ = [
     "BLOCK_SIZE",
     "WARP_SIZE",
     "ScheduleStats",
+    "SegmentedScheduleStats",
     "manhattan_schedule",
+    "manhattan_schedule_segments",
     "vertex_per_thread_balance",
+    "vertex_per_thread_segments",
 ]

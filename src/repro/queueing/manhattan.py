@@ -16,11 +16,17 @@ In the simulator the *functional* expansion is done by
 * :func:`vertex_per_thread_balance` models the naive alternative (each
   thread serially expands its own vertex) where a warp's runtime is its
   maximum degree — the behaviour the paper's queue-based kernels avoid.
+
+Both are the one-segment case of a *segmented* schedule
+(:func:`manhattan_schedule_segments`, :func:`vertex_per_thread_segments`)
+that schedules every rank's queue of a superstep stage in one pass,
+given the concatenated degrees and per-rank queue lengths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +34,11 @@ __all__ = [
     "BLOCK_SIZE",
     "WARP_SIZE",
     "ScheduleStats",
+    "SegmentedScheduleStats",
     "manhattan_schedule",
+    "manhattan_schedule_segments",
     "vertex_per_thread_balance",
+    "vertex_per_thread_segments",
 ]
 
 #: Threads per block the paper's kernels launch with.
@@ -52,6 +61,111 @@ class ScheduleStats:
         return 1.0 / self.balance if self.balance > 0 else float("inf")
 
 
+@dataclass(frozen=True)
+class SegmentedScheduleStats:
+    """Per-segment :class:`ScheduleStats` columns of a segmented schedule.
+
+    Entry ``i`` of every array is the statistic of segment ``i`` — the
+    same values the one-segment schedule computes for that segment's
+    degrees alone (an empty segment: zero work, balance 1.0).
+    """
+
+    total_edges: np.ndarray  # int64
+    n_blocks: np.ndarray  # int64
+    balance: np.ndarray  # float64, in (0, 1]
+    max_thread_edges: np.ndarray  # int64
+
+    def __getitem__(self, i: int) -> ScheduleStats:
+        return ScheduleStats(
+            total_edges=int(self.total_edges[i]),
+            n_blocks=int(self.n_blocks[i]),
+            balance=float(self.balance[i]),
+            max_thread_edges=int(self.max_thread_edges[i]),
+        )
+
+
+def _segments(degrees, lengths=None) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(degrees, lengths)`` as int64 arrays; ``lengths=None``
+    is the one-segment case."""
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if lengths is None:
+        lengths = np.array([degrees.size], dtype=np.int64)
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or (lengths.size and lengths.min() < 0):
+            raise ValueError("segment lengths must be a 1-D array of counts >= 0")
+        if int(lengths.sum()) != degrees.size:
+            raise ValueError(
+                f"segment lengths sum to {int(lengths.sum())}, "
+                f"but {degrees.size} degrees were given"
+            )
+    if degrees.size and degrees.min() < 0:
+        raise ValueError("negative degree in queue")
+    return degrees, lengths
+
+
+def _tile(lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tile every segment with ``width``-sized chunks (the last one per
+    segment may be short); return ``(chunk_starts, chunks_per_segment)``
+    with the starts as positions into the concatenated degrees."""
+    n_chunks = -(-lengths // width)
+    if lengths.size == 1:
+        return np.arange(0, int(lengths[0]), width, dtype=np.int64), n_chunks
+    seg_start = np.cumsum(lengths) - lengths
+    chunk_seg = np.repeat(np.arange(lengths.size), n_chunks)
+    first = np.cumsum(n_chunks) - n_chunks
+    within = np.arange(chunk_seg.size, dtype=np.int64) - first[chunk_seg]
+    return seg_start[chunk_seg] + within * width, n_chunks
+
+
+def _per_segment(chunk_vals: np.ndarray, n_chunks: np.ndarray, ufunc) -> np.ndarray:
+    """Reduce per-chunk values over each segment's chunks (0 if none)."""
+    if n_chunks.size == 1:
+        return np.array([ufunc.reduce(chunk_vals, initial=0)], dtype=np.int64)
+    out = np.zeros(n_chunks.size, dtype=np.int64)
+    nonempty = np.flatnonzero(n_chunks)
+    if nonempty.size:
+        first = np.cumsum(n_chunks) - n_chunks
+        out[nonempty] = ufunc.reduceat(chunk_vals, first[nonempty])
+    return out
+
+
+def _balance(total: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """``total / occupied`` (1.0 where nothing is occupied), floored at
+    1e-6 — the scalar schedules' formula, element-wise."""
+    balance = np.divide(
+        total, occupied, out=np.ones(total.size), where=occupied > 0
+    )
+    return np.maximum(balance, 1e-6, out=balance)
+
+
+def manhattan_schedule_segments(
+    degrees: np.ndarray, lengths: Optional[np.ndarray], block_size: int = BLOCK_SIZE
+) -> SegmentedScheduleStats:
+    """:func:`manhattan_schedule` of every segment in one pass.
+
+    ``degrees`` is the concatenation of the segments' queues and
+    ``lengths`` their sizes (one segment per rank: every rank's queue
+    of one superstep stage; ``None`` means one segment).  Blocks never
+    span segments; all block sums come from one ``np.add.reduceat``,
+    and every integer total is exactly the one-segment result.
+    """
+    degrees, lengths = _segments(degrees, lengths)
+    starts, n_blocks = _tile(lengths, block_size)
+    block_work = (
+        np.add.reduceat(degrees, starts) if starts.size else degrees[:0]
+    )
+    per_thread = -(-block_work // block_size)  # ceil per block
+    total = _per_segment(block_work, n_blocks, np.add)
+    occupied = _per_segment(per_thread, n_blocks, np.add) * block_size
+    return SegmentedScheduleStats(
+        total_edges=total,
+        n_blocks=n_blocks,
+        balance=_balance(total, occupied),
+        max_thread_edges=_per_segment(per_thread, n_blocks, np.maximum),
+    )
+
+
 def manhattan_schedule(
     degrees: np.ndarray, block_size: int = BLOCK_SIZE
 ) -> ScheduleStats:
@@ -64,26 +178,33 @@ def manhattan_schedule(
     residual is tiny — the paper calls the overhead "near-negligible" —
     and this model shows exactly why.
 
-    Vectorized: block totals come from one ``np.add.reduceat`` over the
-    block boundaries instead of a per-block Python loop, so scheduling
-    a million-vertex queue costs one segmented pass.
+    The one-segment case of :func:`manhattan_schedule_segments`.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if degrees.size == 0:
-        return ScheduleStats(total_edges=0, n_blocks=0, balance=1.0, max_thread_edges=0)
-    if np.any(degrees < 0):
-        raise ValueError("negative degree in queue")
-    starts = np.arange(0, degrees.size, block_size, dtype=np.int64)
-    block_work = np.add.reduceat(degrees, starts)
-    per_thread = -(-block_work // block_size)  # ceil per block
-    total = int(block_work.sum())
-    occupied = int(per_thread.sum()) * block_size
-    balance = total / occupied if occupied else 1.0
-    return ScheduleStats(
+    return manhattan_schedule_segments(degrees, None, block_size)[0]
+
+
+def vertex_per_thread_segments(
+    degrees: np.ndarray, lengths: Optional[np.ndarray], warp_size: int = WARP_SIZE
+) -> SegmentedScheduleStats:
+    """:func:`vertex_per_thread_balance` of every segment in one pass
+    (``lengths`` as in :func:`manhattan_schedule_segments`).
+
+    Warps never span segments.  A segment's last warp is short instead
+    of zero-padded; degrees are non-negative, so its maximum is the
+    padded warp's maximum.
+    """
+    degrees, lengths = _segments(degrees, lengths)
+    starts, n_warps = _tile(lengths, warp_size)
+    warp_max = (
+        np.maximum.reduceat(degrees, starts) if starts.size else degrees[:0]
+    )
+    total = _per_segment(degrees, lengths, np.add)
+    occupied = _per_segment(warp_max, n_warps, np.add) * warp_size
+    return SegmentedScheduleStats(
         total_edges=total,
-        n_blocks=int(starts.size),
-        balance=max(balance, 1e-6),
-        max_thread_edges=int(per_thread.max()),
+        n_blocks=n_warps,
+        balance=_balance(total, occupied),
+        max_thread_edges=_per_segment(warp_max, n_warps, np.maximum),
     )
 
 
@@ -96,22 +217,7 @@ def vertex_per_thread_balance(
     ``warp_size * max(degree in warp)`` thread-cycles.  On power-law
     queues this collapses to the hub degree — the load imbalance the
     Manhattan Collapse exists to fix.
+
+    The one-segment case of :func:`vertex_per_thread_segments`.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if degrees.size == 0:
-        return ScheduleStats(total_edges=0, n_blocks=0, balance=1.0, max_thread_edges=0)
-    if np.any(degrees < 0):
-        raise ValueError("negative degree in queue")
-    total = int(degrees.sum())
-    pad = (-degrees.size) % warp_size
-    padded = np.concatenate([degrees, np.zeros(pad, dtype=np.int64)])
-    warps = padded.reshape(-1, warp_size)
-    warp_max = warps.max(axis=1)
-    occupied = int(warp_max.sum()) * warp_size
-    balance = total / occupied if occupied else 1.0
-    return ScheduleStats(
-        total_edges=total,
-        n_blocks=-(-degrees.size // warp_size),
-        balance=max(balance, 1e-6),
-        max_thread_edges=int(warp_max.max(initial=0)),
-    )
+    return vertex_per_thread_segments(degrees, None, warp_size)[0]

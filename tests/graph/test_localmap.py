@@ -114,3 +114,27 @@ def test_property_mapping_consistency(rs, rlen, cs, clen):
         assert np.array_equal(row_lids, np.arange(lm.row_offset, lm.row_offset + rlen))
     if clen:
         assert np.array_equal(col_lids, np.arange(lm.col_offset, lm.col_offset + clen))
+
+
+class TestCachedGeometry:
+    def test_geometry_is_computed_once(self):
+        lm = LocalMap(row_start=0, row_stop=10, col_start=5, col_stop=15)
+        assert lm.col_offset is lm.col_offset
+        assert lm.row_slice is lm.row_slice
+        assert {"type", "col_offset", "row_slice"} <= set(vars(lm))
+
+    def test_cache_is_invisible_to_equality_hash_and_pickle(self):
+        import pickle
+
+        warm = LocalMap(row_start=3, row_stop=9, col_start=0, col_stop=4)
+        cold = LocalMap(row_start=3, row_stop=9, col_start=0, col_stop=4)
+        _ = (warm.type, warm.n_total, warm.row_slice, warm.col_slice)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == warm and back.row_slice == warm.row_slice
+
+    def test_still_frozen(self):
+        lm = LocalMap(row_start=0, row_stop=4, col_start=0, col_stop=4)
+        with pytest.raises(AttributeError):
+            lm.row_start = 1
