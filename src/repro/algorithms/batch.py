@@ -530,27 +530,16 @@ def bfs_batch(
         ]
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
+        # Per-lane frontier degree sums, one weighted bincount per row
+        # group.  Unweighted global degrees are integer-valued float64
+        # with sums far below 2**53, so the sequential bincount sums are
+        # exact and equal the per-lane np.sum the 1-D runs take.
         m_new = np.zeros(k)
         for id_r, ranks in engine.row_groups():
-            ctx0 = engine.ctx(ranks[0])
             lids0, lanes0 = new_frontier[ranks[0]]
-            deg0 = ctx0.get("deg")
-            if not lanes0.size:
-                continue
-            # One stable lane sort replaces a boolean mask pass per
-            # lane; each lane's segment keeps the original relative
-            # order, so the per-lane np.sum sees the identical operand
-            # sequence (and the switching trajectory stays
-            # bit-identical to the 1-D runs).
-            ordr = np.argsort(lanes0, kind="stable")
-            sl = lids0[ordr]
-            sn = lanes0[ordr]
-            starts = np.searchsorted(sn, np.arange(k))
-            ends = np.searchsorted(sn, np.arange(k), side="right")
-            for lane in np.flatnonzero(cont):
-                seg = sl[starts[lane] : ends[lane]]
-                if seg.size:
-                    m_new[lane] += float(deg0[seg].sum())
+            if lanes0.size:
+                deg0 = engine.ctx(ranks[0]).get("deg")
+                m_new += np.bincount(lanes0, weights=deg0[lids0], minlength=k)
         frontier = new_frontier
         m_frontier_prev[cont] = m_frontier[cont]
         m_frontier[cont] = m_new[cont]

@@ -32,7 +32,7 @@ from ..patterns.complex import (
     owner_of_vertex,
 )
 from ..patterns.dense import dense_pull
-from ..patterns.sparse import PAIR_DTYPE
+from ..patterns.sparse import PAIR_DTYPE, allgatherv_ranks
 
 __all__ = ["greedy_coloring", "color_priorities", "is_proper_coloring"]
 
@@ -170,14 +170,11 @@ def greedy_coloring(
 
         finals = engine.map_ranks(choose_colors)
 
-        n_colored = 0
-        rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_r, ranks in engine.row_groups():
-            rbuf = engine.comm.allgatherv(ranks, [finals[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
-            if ranks:
-                n_colored += int(np.unique(rbuf["gid"]).size)
+        rbuf_of = allgatherv_ranks(engine, grid.row_group_matrix, finals)
+        n_colored = sum(
+            int(np.unique(rbuf_of[ranks[0]]["gid"]).size)
+            for _, ranks in engine.row_groups()
+        )
 
         def apply_colors(ctx):
             lm = ctx.localmap
@@ -203,11 +200,7 @@ def greedy_coloring(
             return buf
 
         sbufs = engine.map_ranks(build_refresh)
-        rbuf_of = [None] * grid.n_ranks
-        for id_c, ranks in engine.col_groups():
-            rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
+        rbuf_of = allgatherv_ranks(engine, grid.col_group_matrix, sbufs)
 
         def apply_refresh(ctx):
             lm = ctx.localmap

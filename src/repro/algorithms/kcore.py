@@ -29,7 +29,7 @@ from ..patterns.complex import (
     owner_chunks,
     owner_of_vertex,
 )
-from ..patterns.sparse import PAIR_DTYPE, propagate_active_pull
+from ..patterns.sparse import PAIR_DTYPE, allgatherv_ranks, propagate_active_pull
 from .pagerank import compute_global_degrees
 
 __all__ = ["core_numbers"]
@@ -106,11 +106,7 @@ def core_numbers(
 
         finals = engine.map_ranks(owner_h_index)
 
-        rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_r, ranks in engine.row_groups():
-            rbuf = engine.comm.allgatherv(ranks, [finals[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
+        rbuf_of = allgatherv_ranks(engine, grid.row_group_matrix, finals)
 
         def apply_estimates(ctx):
             lm = ctx.localmap
@@ -139,11 +135,7 @@ def core_numbers(
             return _pairs(mine, est[lm.row_lid(mine)])
 
         sbufs = engine.map_ranks(build_refresh)
-        rbuf_of = [None] * grid.n_ranks
-        for id_c, ranks in engine.col_groups():
-            rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
+        rbuf_of = allgatherv_ranks(engine, grid.col_group_matrix, sbufs)
 
         def apply_refresh(ctx):
             lm = ctx.localmap

@@ -35,7 +35,7 @@ from ..patterns.complex import (
     owner_of_vertex,
     select_mode,
 )
-from ..patterns.sparse import PAIR_DTYPE, propagate_active_pull
+from ..patterns.sparse import PAIR_DTYPE, allgatherv_ranks, propagate_active_pull
 
 __all__ = ["label_propagation"]
 
@@ -156,11 +156,7 @@ def label_propagation(
         finals = engine.map_ranks(merge_and_select)
 
         # Broadcast winners back across each row group.
-        rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_r, ranks in engine.row_groups():
-            rbuf = engine.comm.allgatherv(ranks, [finals[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
+        rbuf_of = allgatherv_ranks(engine, grid.row_group_matrix, finals)
 
         def apply_winners(ctx):
             lm = ctx.localmap
@@ -188,11 +184,7 @@ def label_propagation(
             return _pairs(mine, label[lm.row_lid(mine)])
 
         sbufs = engine.map_ranks(build_refresh)
-        rbuf_of = [None] * grid.n_ranks
-        for id_c, ranks in engine.col_groups():
-            rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
+        rbuf_of = allgatherv_ranks(engine, grid.col_group_matrix, sbufs)
 
         def apply_refresh(ctx):
             lm = ctx.localmap

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..patterns.sparse import sparse_push
+from ..patterns.sparse import allgatherv_ranks, sparse_push
 
 __all__ = ["max_weight_matching"]
 
@@ -94,8 +94,9 @@ def max_weight_matching(
         # ---- 2: row-group consensus pointers (complex reduction) -----
         winners_of: list[np.ndarray | None] = [None] * grid.n_ranks
         rbuf_size_of: list[int] = [0] * grid.n_ranks
+        rbuf_of = allgatherv_ranks(engine, grid.row_group_matrix, candidates)
         for id_r, ranks in engine.row_groups():
-            rbuf = engine.comm.allgatherv(ranks, [candidates[r] for r in ranks])
+            rbuf = rbuf_of[ranks[0]]
             if rbuf.size:
                 order = np.lexsort((rbuf["nbr"], rbuf["w"], rbuf["gid"]))
                 rb = rbuf[order]
@@ -137,11 +138,7 @@ def max_weight_matching(
             return buf
 
         sbufs = engine.map_ranks(build_refresh)
-        rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_c, ranks in engine.col_groups():
-            rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
+        rbuf_of = allgatherv_ranks(engine, grid.col_group_matrix, sbufs)
 
         def apply_refresh(ctx):
             lm = ctx.localmap

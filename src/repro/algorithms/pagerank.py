@@ -160,14 +160,31 @@ def pagerank(
         iterations_run = st["iterations_run"]
         done = st["done"]
 
-    # deg is static after compute_global_degrees, so the per-edge degree
-    # gather (and its zero mask) is iteration-invariant — cache it
-    # (per-rank slots; each closure touches only its own).  Rebuilt from
-    # the (restored) deg state on resume, so it never needs
-    # checkpointing.
-    deg_dst: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * grid.n_ranks
+    # Every stage runs once over the rank-stacked state (see "Rank-fused
+    # stages" in docs/PERF.md), each rank still charged its own kernels.
+    # deg is static after compute_global_degrees, so everything derived
+    # from it is built once — from the (restored) deg state on resume,
+    # so it never needs checkpointing.
+    lay = engine.stacked_csr()
+    n_row = np.diff(lay.row_base)
+    n_total = np.diff(lay.state_base)
+    deg = engine.stacked_full("deg")
+    deg_safe = np.maximum(deg, 1e-300)
+    deg_zero = deg == 0
+    # Dangling row vertices, per rank in row order (stacked state idx).
+    dangling = lay.row_state[deg_zero[lay.row_state]]
+    dangling_cut = np.searchsorted(
+        np.flatnonzero(deg_zero[lay.row_state]), lay.row_base
+    )
+    if weighted:
+        edge_row = np.repeat(np.arange(n_row.sum()), lay.degrees)
+        edge_w = np.concatenate([ctx.block.weights for ctx in engine])
+    else:
+        adjacency = lay.adjacency()
     while iterations_run < iterations and not done:
         iterations_run += 1
+        pr = engine.stacked_full("pr")
+        acc = engine.stacked_full("acc")
 
         # Dangling mass: each rank contributes its row window's share
         # divided by the row-group size (R ranks share each window).
@@ -176,40 +193,35 @@ def pagerank(
         # engine its one-word AllReduce is issued split-phase here and
         # completed only where the total is consumed, hiding the whole
         # gather + dense-exchange phase behind it.
-        def dangling_share(ctx):
-            pr = ctx.get("pr")
-            deg = ctx.get("deg")
-            rw = ctx.row_slice
-            engine.charge_vertices(ctx.rank, ctx.localmap.n_row)
-            return np.array([pr[rw][deg[rw] == 0].sum() / grid.R])
-
-        partials = engine.map_ranks(dangling_share)
+        engine.charge_vertices_ranks(n_row)
+        masked = pr[dangling]
+        partials = [
+            np.array([masked[dangling_cut[r] : dangling_cut[r + 1]].sum() / grid.R])
+            for r in all_ranks
+        ]
         dangling_handle = (
             engine.comm.start_allreduce(all_ranks, partials, op="sum")
             if engine.overlap
             else None
         )
 
-        # Local partial gathers.
-        def gather_partials(ctx):
-            pr = ctx.get("pr")
-            deg = ctx.get("deg")
-            acc = ctx.get("acc")
-            acc[...] = 0.0
-            src, dst, w = ctx.expand_all()
-            engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="pr.full")
-            if dst.size:
-                if deg_dst[ctx.rank] is None:
-                    dd = deg[dst]
-                    deg_dst[ctx.rank] = (np.maximum(dd, 1e-300), dd == 0)
-                dd_safe, dd_zero = deg_dst[ctx.rank]
-                contrib = pr[dst] / dd_safe
-                if weighted:
-                    contrib = contrib * w
-                contrib[dd_zero] = 0.0
-                scatter_reduce(acc, src, contrib, "sum")
-
-        engine.foreach(gather_partials)
+        # Local partial gathers: every rank's edges in one pass.  Each
+        # row sums its edge terms from 0.0 in CSR order — the order
+        # np.add.at used on a zeroed accumulator — so the sums are
+        # bit-identical; 1.0 * x is exact (even fused into an FMA).
+        for ctx in engine:
+            ctx.expand_all()  # the cached expansion's device footprint
+        engine.charge_edges_ranks(n_row, lay.degrees, cache_key="pr.full")
+        x = pr / deg_safe
+        x[deg_zero] = 0.0
+        if weighted:
+            rows = np.bincount(
+                edge_row, weights=x[lay.indices] * edge_w, minlength=n_row.sum()
+            )
+        else:
+            rows = adjacency @ x
+        acc[...] = 0.0
+        acc[lay.row_state] = rows
 
         # Complete the sums along row groups, refresh ghosts.
         dense_pull(engine, "acc", op="sum")
@@ -223,25 +235,17 @@ def pagerank(
         dangling_total = float(partials[0][0])
 
         # Damping update (acc is consistent on every LID).
-        def damping_update(ctx):
-            pr = ctx.get("pr")
-            acc = ctx.get("acc")
-            if personalization is not None:
-                tele = ctx.get("tele")
-                new = (1.0 - damping) * tele + damping * (
-                    acc + dangling_total * tele
-                )
-            else:
-                new = (1.0 - damping) / n + damping * (acc + dangling_total / n)
-            delta = 0.0
-            if tol is not None:
-                rw = ctx.row_slice
-                delta = float(np.abs(new[rw] - pr[rw]).max(initial=0.0))
-            pr[...] = new
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            return delta
-
-        max_delta = max(engine.map_ranks(damping_update), default=0.0)
+        if personalization is not None:
+            tele = engine.stacked_full("tele")
+            new = (1.0 - damping) * tele + damping * (acc + dangling_total * tele)
+        else:
+            new = (1.0 - damping) / n + damping * (acc + dangling_total / n)
+        max_delta = 0.0
+        if tol is not None:
+            rw = lay.row_state
+            max_delta = float(np.abs(new[rw] - pr[rw]).max(initial=0.0))
+        pr[...] = new
+        engine.charge_vertices_ranks(n_total)
         if tol is not None:
             flags = [np.array([max_delta]) for _ in all_ranks]
             engine.comm.allreduce(all_ranks, flags, op="max")

@@ -24,7 +24,7 @@ from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce
 from ..patterns.packets import packet_swap
-from ..patterns.sparse import PAIR_DTYPE
+from ..patterns.sparse import PAIR_DTYPE, allgatherv_ranks
 
 __all__ = ["pointer_jumping", "initial_parents"]
 
@@ -124,8 +124,9 @@ def pointer_jumping(
 
     # Home-rank authoritative parent stores (relabeled GIDs).
     group_data: list[tuple[np.ndarray, np.ndarray, int] | None] = [None] * grid.n_ranks
+    rbuf_of = allgatherv_ranks(engine, grid.row_group_matrix, cand)
     for id_r, ranks in engine.row_groups():
-        rbuf = engine.comm.allgatherv(ranks, [cand[r] for r in ranks])
+        rbuf = rbuf_of[ranks[0]]
         rs, re = part.row_range(id_r)
         best = np.full(re - rs, np.iinfo(np.int64).max, dtype=np.int64)
         if rbuf.size:
@@ -269,11 +270,7 @@ def _pointer_jumping_loop(
         return buf
 
     sbufs = engine.map_ranks(build_final)
-    rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-    for id_r, ranks in engine.row_groups():
-        rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    rbuf_of = allgatherv_ranks(engine, grid.row_group_matrix, sbufs)
 
     def apply_final(ctx):
         lm = ctx.localmap

@@ -161,7 +161,12 @@ class CostModel:
         same order, with ``launches=1`` and ``work_per_edge=1.0``
         multiplying exactly.
         """
-        if not np.all((balance > 0.0) & (balance <= 1.0)):
+        ok = (
+            0.0 < balance <= 1.0
+            if isinstance(balance, float)
+            else np.all((balance > 0.0) & (balance <= 1.0))
+        )
+        if not ok:
             raise ValueError(f"balance must be in (0, 1], got {balance}")
         t = self.gpu.kernel_launch_s + np.asarray(n_vertices) / self.gpu.vertex_rate
         return t + n_edges / (self.gpu.edge_rate * balance)
@@ -177,6 +182,12 @@ class CostModel:
     # ------------------------------------------------------------------
     # collectives (ring alpha-beta models)
     # ------------------------------------------------------------------
+    # Every collective has a per-group formula (``_allreduce`` etc.,
+    # over the group's ring profile).  The ``*_times`` methods apply it
+    # to each row of a ``(G, k)`` group matrix — the groups of one BSP
+    # stage, running concurrently — and the scalar ``*_time`` methods to
+    # one group, so a stage's times are bit-identical to one call per
+    # group.
     def _step_alpha(self, prof: GroupProfile) -> float:
         return prof.latency_s + self.profile.message_overhead(prof.crosses_network)
 
@@ -184,6 +195,32 @@ class CostModel:
         """Global coordination charged per collective (generic
         substrates only; zero for the NCCL-like profile)."""
         return self.profile.sync_overhead_per_rank_s * self.topology.n_ranks
+
+    def _profiles(self, groups, nic_sharing: int) -> list[GroupProfile]:
+        """The ring profile of every row of a ``(G, k)`` group matrix."""
+        groups = np.asarray(groups)
+        if groups.ndim != 2:
+            raise ValueError(f"group matrix must be 2-D, got shape {groups.shape}")
+        return [
+            self.topology.group_profile(g, nic_sharing=nic_sharing)
+            for g in groups.tolist()
+        ]
+
+    def _allreduce(self, prof: GroupProfile, nbytes) -> float:
+        k = prof.size
+        if k <= 1:
+            return self.gpu.kernel_launch_s
+        nbytes = nbytes * self.profile.volume_factor
+        alpha = self._step_alpha(prof)
+        ring = 2 * (k - 1) * alpha + 2 * nbytes * (k - 1) / (k * prof.bandwidth_Bps)
+        tree = 2 * math.ceil(math.log2(k)) * alpha + 2 * nbytes / prof.bandwidth_Bps
+        return min(ring, tree) + self._sync_overhead()
+
+    def allreduce_times(self, groups, nbytes, nic_sharing: int = 1) -> np.ndarray:
+        """:meth:`allreduce_time` of every group; ``nbytes[g]`` is group
+        ``g``'s per-rank payload."""
+        profs = self._profiles(groups, nic_sharing)
+        return np.array([self._allreduce(p, nb) for p, nb in zip(profs, nbytes)])
 
     def allreduce_time(
         self, ranks: Sequence[int], nbytes: int, nic_sharing: int = 1
@@ -197,20 +234,9 @@ class CostModel:
         takes the cheaper of the two, as the library would.
         """
         prof = self.topology.group_profile(ranks, nic_sharing=nic_sharing)
-        k = prof.size
-        if k <= 1:
-            return self.gpu.kernel_launch_s
-        nbytes = nbytes * self.profile.volume_factor
-        alpha = self._step_alpha(prof)
-        ring = 2 * (k - 1) * alpha + 2 * nbytes * (k - 1) / (k * prof.bandwidth_Bps)
-        tree = 2 * math.ceil(math.log2(k)) * alpha + 2 * nbytes / prof.bandwidth_Bps
-        return min(ring, tree) + self._sync_overhead()
+        return self._allreduce(prof, nbytes)
 
-    def broadcast_time(
-        self, ranks: Sequence[int], nbytes: int, nic_sharing: int = 1
-    ) -> float:
-        """Pipelined ring Broadcast of ``nbytes`` from one root."""
-        prof = self.topology.group_profile(ranks, nic_sharing=nic_sharing)
+    def _broadcast(self, prof: GroupProfile, nbytes) -> float:
         k = prof.size
         if k <= 1:
             return self.gpu.kernel_launch_s
@@ -220,6 +246,44 @@ class CostModel:
         ceil_log = math.ceil(math.log2(k))
         tree = ceil_log * alpha + ceil_log * nbytes / prof.bandwidth_Bps
         return min(ring, tree) + self._sync_overhead()
+
+    def broadcast_times(self, groups, nbytes, nic_sharing: int = 1) -> np.ndarray:
+        """:meth:`broadcast_time` of every group."""
+        profs = self._profiles(groups, nic_sharing)
+        return np.array([self._broadcast(p, nb) for p, nb in zip(profs, nbytes)])
+
+    def broadcast_time(
+        self, ranks: Sequence[int], nbytes: int, nic_sharing: int = 1
+    ) -> float:
+        """Pipelined ring Broadcast of ``nbytes`` from one root."""
+        prof = self.topology.group_profile(ranks, nic_sharing=nic_sharing)
+        return self._broadcast(prof, nbytes)
+
+    def _grouped_broadcast(self, prof: GroupProfile, nbytes_each) -> float:
+        if not nbytes_each:
+            return 0.0
+        if self.profile.grouped_calls:
+            k = prof.size
+            if k <= 1:
+                return self.gpu.kernel_launch_s
+            total = sum(nbytes_each) * self.profile.volume_factor
+            alpha = self._step_alpha(prof)
+            ring = (k - 1) * alpha + total / prof.bandwidth_Bps
+            ceil_log = math.ceil(math.log2(k))
+            tree = ceil_log * alpha + ceil_log * total / prof.bandwidth_Bps
+            return min(ring, tree) + self._sync_overhead()
+        return sum(self._broadcast(prof, nb) for nb in nbytes_each)
+
+    def grouped_broadcast_times(
+        self, groups, nbytes_each: Sequence[Sequence[int]], nic_sharing: int = 1
+    ) -> np.ndarray:
+        """:meth:`grouped_broadcast_time` of every group;
+        ``nbytes_each[g]`` lists group ``g``'s broadcast sizes (a group
+        without broadcasts costs 0)."""
+        profs = self._profiles(groups, nic_sharing)
+        return np.array(
+            [self._grouped_broadcast(p, nb) for p, nb in zip(profs, nbytes_each)]
+        )
 
     def grouped_broadcast_time(
         self, ranks: Sequence[int], nbytes_each: Sequence[int], nic_sharing: int = 1
@@ -232,27 +296,10 @@ class CostModel:
         """
         if not nbytes_each:
             return 0.0
-        if self.profile.grouped_calls:
-            prof = self.topology.group_profile(ranks, nic_sharing=nic_sharing)
-            k = prof.size
-            if k <= 1:
-                return self.gpu.kernel_launch_s
-            total = sum(nbytes_each) * self.profile.volume_factor
-            alpha = self._step_alpha(prof)
-            ring = (k - 1) * alpha + total / prof.bandwidth_Bps
-            ceil_log = math.ceil(math.log2(k))
-            tree = ceil_log * alpha + ceil_log * total / prof.bandwidth_Bps
-            return min(ring, tree) + self._sync_overhead()
-        return sum(
-            self.broadcast_time(ranks, nb, nic_sharing=nic_sharing)
-            for nb in nbytes_each
-        )
-
-    def allgather_time(
-        self, ranks: Sequence[int], nbytes_total: int, nic_sharing: int = 1
-    ) -> float:
-        """Ring AllGather; ``nbytes_total`` is the summed payload."""
         prof = self.topology.group_profile(ranks, nic_sharing=nic_sharing)
+        return self._grouped_broadcast(prof, nbytes_each)
+
+    def _allgather(self, prof: GroupProfile, nbytes_total) -> float:
         k = prof.size
         if k <= 1:
             return self.gpu.kernel_launch_s
@@ -263,6 +310,19 @@ class CostModel:
         ring = (k - 1) * alpha + vol
         tree = math.ceil(math.log2(k)) * alpha + vol
         return min(ring, tree) + self._sync_overhead()
+
+    def allgather_times(self, groups, nbytes_total, nic_sharing: int = 1) -> np.ndarray:
+        """:meth:`allgather_time` of every group; ``nbytes_total[g]`` is
+        group ``g``'s summed payload."""
+        profs = self._profiles(groups, nic_sharing)
+        return np.array([self._allgather(p, nb) for p, nb in zip(profs, nbytes_total)])
+
+    def allgather_time(
+        self, ranks: Sequence[int], nbytes_total: int, nic_sharing: int = 1
+    ) -> float:
+        """Ring AllGather; ``nbytes_total`` is the summed payload."""
+        prof = self.topology.group_profile(ranks, nic_sharing=nic_sharing)
+        return self._allgather(prof, nbytes_total)
 
     def sendrecv_time(self, src: int, dst: int, nbytes: int) -> float:
         """One point-to-point transfer."""

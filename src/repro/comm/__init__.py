@@ -1,7 +1,14 @@
 """2D grid geometry, virtual clocks, counters, and collectives."""
 
 from .clocks import InflightCollective, PhaseTimes, VirtualClocks
-from .collectives import REDUCE_OPS, BroadcastCall, CollectiveHandle, Communicator
+from .collectives import (
+    REDUCE_OPS,
+    BroadcastCall,
+    CollectiveHandle,
+    Communicator,
+    check_stage_bounds,
+    check_stage_groups,
+)
 from .counters import CommCounters, CounterSnapshot, OpStats
 from .grid import Grid2D, factor_pairs, square_grid
 
@@ -13,6 +20,8 @@ __all__ = [
     "BroadcastCall",
     "CollectiveHandle",
     "Communicator",
+    "check_stage_bounds",
+    "check_stage_groups",
     "CommCounters",
     "CounterSnapshot",
     "OpStats",

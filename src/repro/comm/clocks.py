@@ -20,7 +20,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .counters import CommCounters, CounterSnapshot
 
-__all__ = ["InflightCollective", "PhaseTimes", "VirtualClocks"]
+__all__ = ["InflightCollective", "PhaseTimes", "VirtualClocks", "group_matrix"]
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,41 @@ class PhaseTimes:
 
 @dataclass
 class InflightCollective:
-    """Clock-side record of one issued-but-uncompleted collective.
+    """Clock-side record of issued-but-uncompleted collectives, one per
+    row of the ``(G, k)`` group matrix ``idx``.
 
-    Created by :meth:`VirtualClocks.issue_collective`; consumed exactly
-    once by :meth:`VirtualClocks.complete_collective`.  ``issued_at`` is
-    the group-max clock at issue (the moment the last member's send
-    buffer was ready); ``comm_seconds`` is the modeled cost the
+    Created by :meth:`VirtualClocks.issue_groups` (or its one-group
+    case :meth:`VirtualClocks.issue_collective`); consumed exactly once
+    by :meth:`VirtualClocks.complete_collective`.  ``issued_at[g]`` is
+    group ``g``'s max clock at issue (the moment its last member's send
+    buffer was ready); ``comm_seconds[g]`` is the modeled cost its
     collective would charge if it ran blocking.
     """
 
     idx: np.ndarray
-    issued_at: float
-    comm_seconds: float
+    issued_at: np.ndarray
+    comm_seconds: np.ndarray
     completed: bool = False
+
+
+def group_matrix(ranks: Sequence[int]) -> np.ndarray:
+    """One group as a ``(1, k)`` group matrix."""
+    return np.asarray(ranks, dtype=np.int64).reshape(1, -1)
+
+
+def _stage_seconds(groups: np.ndarray, seconds) -> np.ndarray:
+    """One non-negative charge per group row, as float64."""
+    seconds = np.asarray(seconds, dtype=np.float64)
+    if seconds.shape != groups.shape[:1]:
+        raise ValueError(
+            f"need one charge per group ({groups.shape[0]}), got shape {seconds.shape}"
+        )
+    # A Python min over the (few) groups: far cheaper than a NumPy
+    # reduction on such short arrays, and a stage checks it every call.
+    lowest = min(seconds.tolist(), default=0.0)
+    if lowest < 0:
+        raise ValueError(f"negative comm time {lowest}")
+    return seconds
 
 
 class VirtualClocks:
@@ -140,14 +162,22 @@ class VirtualClocks:
         All members first wait for the slowest member, then advance
         together; the collective duration is attributed to
         communication time.  (Wait time is attributed to neither — it
-        is idle time, which the max-over-ranks report absorbs.)
+        is idle time, which the max-over-ranks report absorbs.)  The
+        one-group case of :meth:`sync_groups`.
         """
-        if seconds < 0:
-            raise ValueError(f"negative comm time {seconds}")
-        idx = np.fromiter(ranks, dtype=np.int64)
-        t = float(self.clock[idx].max()) + seconds
-        self.clock[idx] = t
-        self.comm[idx] += seconds
+        self.sync_groups(group_matrix(ranks), [seconds])
+
+    def sync_groups(self, groups: np.ndarray, seconds) -> None:
+        """:meth:`sync_group` for every row of a ``(G, k)`` group
+        matrix at once: group ``g`` waits for its slowest member, then
+        advances by ``seconds[g]``.
+
+        The rows must be disjoint (a stage's concurrent groups), so
+        evaluating them together equals syncing them one by one.
+        """
+        seconds = _stage_seconds(groups, seconds)
+        self.clock[groups] = (self.clock[groups].max(axis=1) + seconds)[:, None]
+        self.comm[groups] += seconds[:, None]
 
     def add_stall(self, rank: int, seconds: float) -> None:
         """Idle one rank for ``seconds`` (an injected straggler delay).
@@ -226,17 +256,22 @@ class VirtualClocks:
         cannot start before the last member's send buffer is ready,
         exactly the implicit barrier a blocking ``sync_group`` performs
         — and the exchange is considered *in flight* from that instant.
-        Time is charged at :meth:`complete_collective`.
+        Time is charged at :meth:`complete_collective`.  The one-group
+        case of :meth:`issue_groups`.
         """
-        if comm_seconds < 0:
-            raise ValueError(f"negative comm time {comm_seconds}")
-        idx = np.fromiter(ranks, dtype=np.int64)
-        t = float(self.clock[idx].max())
-        self.clock[idx] = t
-        return InflightCollective(idx=idx, issued_at=t, comm_seconds=comm_seconds)
+        return self.issue_groups(group_matrix(ranks), [comm_seconds])
 
-    def complete_collective(self, inflight: InflightCollective) -> float:
-        """Complete an issued collective; returns the hidden seconds.
+    def issue_groups(self, groups: np.ndarray, comm_seconds) -> InflightCollective:
+        """:meth:`issue_collective` for every row of a ``(G, k)`` group
+        matrix (disjoint rows, as in :meth:`sync_groups`)."""
+        comm_seconds = _stage_seconds(groups, comm_seconds)
+        t = self.clock[groups].max(axis=1)
+        self.clock[groups] = t[:, None]
+        return InflightCollective(idx=groups, issued_at=t, comm_seconds=comm_seconds)
+
+    def complete_collective(self, inflight: InflightCollective) -> np.ndarray:
+        """Complete issued collectives; returns each group's hidden
+        seconds.
 
         The overlapped window spans from issue to now.  Any compute the
         participants charged inside the window runs concurrently with
@@ -246,17 +281,18 @@ class VirtualClocks:
         while ``min(compute_elapsed, comm_cost)``, the part of the cost
         the window absorbed, is recorded in the ``overlap`` lane.  A
         wait immediately after issue (``compute_elapsed == 0``)
-        degenerates to exactly :meth:`sync_group`.
+        degenerates to exactly :meth:`sync_group`.  Every group of a
+        stage is completed element-wise, as if one after another.
         """
         if inflight.completed:
             raise ValueError("collective already completed")
         inflight.completed = True
-        idx = inflight.idx
-        elapsed = float(self.clock[idx].max()) - inflight.issued_at
-        hidden = min(elapsed, inflight.comm_seconds)
-        self.clock[idx] = inflight.issued_at + max(elapsed, inflight.comm_seconds)
-        self.comm[idx] += inflight.comm_seconds
-        self.overlap[idx] += hidden
+        idx, comm = inflight.idx, inflight.comm_seconds
+        elapsed = self.clock[idx].max(axis=1) - inflight.issued_at
+        hidden = np.minimum(elapsed, comm)
+        self.clock[idx] = (inflight.issued_at + np.maximum(elapsed, comm))[:, None]
+        self.comm[idx] += comm[:, None]
+        self.overlap[idx] += hidden[:, None]
         return hidden
 
     def reset(self) -> None:

@@ -35,8 +35,10 @@ class OpStats:
     transfers: int = 0
     bytes: int = 0
 
-    def add(self, serial_messages: int, transfers: int, nbytes: int) -> None:
-        self.calls += 1
+    def add(
+        self, serial_messages: int, transfers: int, nbytes: int, calls: int = 1
+    ) -> None:
+        self.calls += calls
         self.serial_messages += serial_messages
         self.transfers += transfers
         self.bytes += int(nbytes)
@@ -147,9 +149,16 @@ class CommCounters:
     by_kind: dict[str, OpStats] = field(default_factory=lambda: defaultdict(OpStats))
 
     def record(
-        self, kind: str, serial_messages: int, transfers: int, nbytes: int
+        self,
+        kind: str,
+        serial_messages: int,
+        transfers: int,
+        nbytes: int,
+        calls: int = 1,
     ) -> None:
-        self.by_kind[kind].add(serial_messages, transfers, nbytes)
+        """Record ``calls`` collectives of one kind with their summed
+        statistics (a stage collective records one call per group)."""
+        self.by_kind[kind].add(serial_messages, transfers, nbytes, calls)
 
     def snapshot(self) -> CounterSnapshot:
         """Immutable copy of the current per-kind statistics."""

@@ -21,6 +21,9 @@ is what reduces message counts from O(p^2) to O(p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = ["Grid2D", "square_grid", "factor_pairs", "squarest_grid"]
 
@@ -77,12 +80,43 @@ class Grid2D:
         return divmod(rank, self.R)
 
     def row_group_ranks(self, id_r: int) -> list[int]:
-        """All ranks in row group ``id_r`` (in Rank_R order)."""
-        return [self.rank_of(id_r, j) for j in range(self.R)]
+        """All ranks in row group ``id_r`` (in Rank_R order).
+
+        The list is built once per grid and shared: callers must not
+        mutate it.
+        """
+        if not 0 <= id_r < self.C:
+            raise ValueError(f"row group {id_r} outside [0, {self.C})")
+        return self._row_groups[id_r]
 
     def col_group_ranks(self, id_c: int) -> list[int]:
-        """All ranks in column group ``id_c`` (in Rank_C order)."""
-        return [self.rank_of(i, id_c) for i in range(self.C)]
+        """All ranks in column group ``id_c`` (in Rank_C order); shared,
+        like :meth:`row_group_ranks`."""
+        if not 0 <= id_c < self.R:
+            raise ValueError(f"column group {id_c} outside [0, {self.R})")
+        return self._col_groups[id_c]
+
+    @cached_property
+    def _row_groups(self) -> list[list[int]]:
+        return self.row_group_matrix.tolist()
+
+    @cached_property
+    def _col_groups(self) -> list[list[int]]:
+        return self.col_group_matrix.tolist()
+
+    @cached_property
+    def row_group_matrix(self) -> np.ndarray:
+        """``(C, R)`` read-only matrix: row ``id_r`` is
+        :meth:`row_group_ranks` ``(id_r)`` — the group matrix of a
+        row-group stage collective."""
+        ranks = np.arange(self.n_ranks, dtype=np.int64)
+        return _frozen(ranks.reshape(self.C, self.R))
+
+    @cached_property
+    def col_group_matrix(self) -> np.ndarray:
+        """``(R, C)`` read-only matrix: row ``id_c`` is
+        :meth:`col_group_ranks` ``(id_c)``."""
+        return _frozen(self.row_group_matrix.T.copy())
 
     def row_group_of(self, rank: int) -> list[int]:
         return self.row_group_ranks(self.coords(rank)[0])
@@ -92,6 +126,11 @@ class Grid2D:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Grid2D(C={self.C} block-rows x R={self.R} block-cols, p={self.n_ranks})"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def square_grid(n_ranks: int) -> Grid2D:

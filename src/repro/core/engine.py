@@ -205,6 +205,8 @@ class Engine:
         # rank-fused stages expand; both host-side, built on first use.
         self._stacks: dict[str, tuple[np.ndarray, np.ndarray, list]] = {}
         self._stacked_csr: Optional[StackedCSR] = None
+        # ``patterns.dense.dense_plan``'s plans, one per direction.
+        self._dense_plans: dict[str, object] = {}
         self.executor: RankExecutor = resolve_executor(executor)
         # Precomputed eagerly (the cluster and grid are immutable) so a
         # concurrent first call cannot race a half-built memo.
@@ -479,7 +481,10 @@ class Engine:
         self.clocks.add_compute(rank, t)
 
     def charge_edges_ranks(
-        self, lengths: np.ndarray, queue_degrees: np.ndarray
+        self,
+        lengths: np.ndarray,
+        queue_degrees: np.ndarray,
+        cache_key: Optional[str] = None,
     ) -> None:
         """:meth:`charge_edges` for every rank in one batched call.
 
@@ -487,15 +492,22 @@ class Engine:
         order and ``lengths[r]`` is rank ``r``'s queue length.  The
         schedule model runs segmented, one segment per rank, and each
         rank's clock gets exactly the charge :meth:`charge_edges` would
-        give it.
+        give it.  ``cache_key`` memoizes the per-rank charges of a
+        static queue, as in :meth:`schedule_stats`.
         """
-        if self.load_balance == "manhattan":
-            stats = manhattan_schedule_segments(queue_degrees, lengths)
-        else:
-            stats = vertex_per_thread_segments(queue_degrees, lengths)
-        self.clocks.add_compute_ranks(
-            self.costmodel.kernel_times(lengths, stats.total_edges, stats.balance)
-        )
+        key = None if cache_key is None else self._schedule_scope + ("ranks", cache_key)
+        seconds = self._schedule_cache.get(key) if key is not None else None
+        if seconds is None:
+            if self.load_balance == "manhattan":
+                stats = manhattan_schedule_segments(queue_degrees, lengths)
+            else:
+                stats = vertex_per_thread_segments(queue_degrees, lengths)
+            seconds = self.costmodel.kernel_times(
+                lengths, stats.total_edges, stats.balance
+            )
+            if key is not None:
+                self._schedule_cache[key] = seconds
+        self.clocks.add_compute_ranks(seconds)
 
     def charge_vertices_ranks(self, n_vertices: np.ndarray) -> None:
         """:meth:`charge_vertices` for every rank: rank ``r`` is charged

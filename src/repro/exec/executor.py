@@ -139,15 +139,19 @@ class ThreadedExecutor(RankExecutor):
         # submission order is both the barrier and the ordering.
         return [f.result() for f in futures]
 
-    def close(self) -> None:
+    def close(self, wait: bool = True) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=wait)
             self._pool = None
 
-    def __del__(self):  # pragma: no cover - interpreter teardown
+    def __del__(self):
+        # A finalizer must not join threads: the cyclic GC can run it in
+        # any thread, including one starting up while it holds the
+        # interpreter's thread-shutdown lock, which a join then waits
+        # on forever.  The idle workers exit on their own once woken.
         try:
-            self.close()
-        except Exception:
+            self.close(wait=False)
+        except Exception:  # pragma: no cover - interpreter teardown
             pass
 
 

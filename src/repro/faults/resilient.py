@@ -36,7 +36,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..comm.collectives import BroadcastCall, CollectiveHandle, Communicator
+from ..comm.collectives import (
+    BroadcastCall,
+    CollectiveHandle,
+    Communicator,
+    check_stage_bounds,
+)
 from .injector import FaultInjector, RankFailure
 from .plan import FaultEvent, FaultSpec
 
@@ -52,11 +57,12 @@ class GuardedHandle:
     payload, i.e. at completion — so the crash check, CRC verification,
     and retry/backoff loop all run inside
     :meth:`ResilientCommunicator.wait`, with retries charged to the
-    recovery lane exactly as on the blocking path.
+    recovery lane exactly as on the blocking path.  ``payloads[g]`` is
+    what group ``g`` of the handle verifies.
     """
 
     inner: CollectiveHandle
-    payload: list[np.ndarray]
+    payloads: list[list[np.ndarray]]
 
     @property
     def kind(self) -> str:
@@ -223,12 +229,28 @@ class ResilientCommunicator:
                 )
             )
 
+    def _guard_stage(self, kind: str, groups: np.ndarray, payloads) -> None:
+        """Run the fault protocol for every group of a stage, in group
+        order — the order one call per group would run it in.
+        ``payloads`` yields each group's payload in that order."""
+        for ranks, payload in zip(groups.tolist(), payloads):
+            self._guard(kind, ranks, payload)
+
     # ------------------------------------------------------------------
     # decorated collectives
     # ------------------------------------------------------------------
     def allreduce(self, ranks, buffers, op="sum", nic_sharing=1):
         self._guard("allreduce", ranks, buffers)
         return self.inner.allreduce(ranks, buffers, op=op, nic_sharing=nic_sharing)
+
+    def allreduce_stage(self, groups, buffers, op="sum", nic_sharing=1):
+        groups = self.inner._stage(groups)
+        self._guard_stage(
+            "allreduce", groups, ([buffers[r] for r in g] for g in groups.tolist())
+        )
+        return self.inner.allreduce_stage(
+            groups, buffers, op=op, nic_sharing=nic_sharing
+        )
 
     def broadcast(self, ranks, buffers, root_pos, nic_sharing=1):
         self._guard("broadcast", ranks, buffers)
@@ -240,9 +262,33 @@ class ResilientCommunicator:
         self._guard("grouped_broadcast", ranks, [c.src for c in calls])
         return self.inner.grouped_broadcast(ranks, calls, nic_sharing=nic_sharing)
 
+    def grouped_broadcast_stage(
+        self, groups, calls: Sequence[Sequence[BroadcastCall]], nic_sharing=1
+    ):
+        groups = self.inner._stage(groups)
+        self._guard_stage(
+            "grouped_broadcast", groups, ([c.src for c in cs] for cs in calls)
+        )
+        return self.inner.grouped_broadcast_stage(
+            groups, calls, nic_sharing=nic_sharing
+        )
+
     def allgatherv(self, ranks, send_buffers, nic_sharing=1):
         self._guard("allgatherv", ranks, send_buffers)
         return self.inner.allgatherv(ranks, send_buffers, nic_sharing=nic_sharing)
+
+    def allgatherv_stage(self, groups, send, bounds, nic_sharing=1):
+        groups = self.inner._stage(groups)
+        send = np.asarray(send)
+        bounds = check_stage_bounds(bounds, self.clocks.n_ranks, send.shape[0])
+        self._guard_stage(
+            "allgatherv",
+            groups,
+            ([send[bounds[r] : bounds[r + 1]] for r in g] for g in groups.tolist()),
+        )
+        return self.inner.allgatherv_stage(
+            groups, send, bounds, nic_sharing=nic_sharing
+        )
 
     def sendrecv(self, src_rank, dst_rank, payload):
         self._guard("sendrecv", [src_rank, dst_rank], [np.asarray(payload)])
@@ -259,20 +305,39 @@ class ResilientCommunicator:
     def start_allreduce(self, ranks, buffers, op="sum", nic_sharing=1):
         h = self.inner.start_allreduce(ranks, buffers, op=op, nic_sharing=nic_sharing)
         # Verify the reduced payload the group ends up holding.
-        return GuardedHandle(h, [np.asarray(b) for b in buffers])
+        return GuardedHandle(h, [[np.asarray(b) for b in buffers]])
+
+    def start_allreduce_stage(self, groups, buffers, op="sum", nic_sharing=1):
+        h = self.inner.start_allreduce_stage(
+            groups, buffers, op=op, nic_sharing=nic_sharing
+        )
+        return GuardedHandle(
+            h, [[np.asarray(buffers[r]) for r in ranks] for ranks in h.groups.tolist()]
+        )
 
     def start_allgatherv(self, ranks, send_buffers, nic_sharing=1):
         h = self.inner.start_allgatherv(ranks, send_buffers, nic_sharing=nic_sharing)
-        return GuardedHandle(h, [np.asarray(h.result)])
+        return GuardedHandle(h, [[np.asarray(h.result)]])
+
+    def start_allgatherv_stage(self, groups, send, bounds, nic_sharing=1):
+        h = self.inner.start_allgatherv_stage(
+            groups, send, bounds, nic_sharing=nic_sharing
+        )
+        # Each group verifies the buffer its members received.
+        recv, rb = h.result
+        return GuardedHandle(
+            h, [[recv[rb[g] : rb[g + 1]]] for g in range(h.groups.shape[0])]
+        )
 
     def start_alltoallv(self, ranks, send_matrix, nic_sharing=1):
         h = self.inner.start_alltoallv(ranks, send_matrix, nic_sharing=nic_sharing)
-        return GuardedHandle(h, [np.asarray(b) for b in h.result])
+        return GuardedHandle(h, [[np.asarray(b) for b in h.result]])
 
     def wait(self, handle: GuardedHandle):
-        """Complete a guarded split-phase collective.
+        """Complete a guarded split-phase collective (or stage).
 
-        Runs the full fault protocol first — a crashed participant
+        Runs the full fault protocol first, group by group in group
+        order — a crashed participant
         raises :class:`RankFailure`, stragglers stall, and disrupted
         attempts retry with exponential backoff charged through
         ``charge_recovery`` (so retry time lands in the recovery lane
@@ -281,7 +346,7 @@ class ResilientCommunicator:
         comm charge).  Counters were recorded once at issue; retries
         never inflate them.
         """
-        self._guard(handle.kind, list(handle.ranks), handle.payload)
+        self._guard_stage(handle.kind, handle.inner.groups, handle.payloads)
         return self.inner.wait(handle.inner)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

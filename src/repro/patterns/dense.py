@@ -14,8 +14,15 @@ whether or not it changed:
 When ``R == C``, the broadcast root in each group is the diagonal rank
 (its row and column GID ranges coincide).  When ``R != C``, a group
 needs several broadcasts — one per overlapping range — which the paper
-aggregates into one NCCL group call; :func:`_overlap_broadcasts`
-computes exactly those overlap segments for any grid shape.
+aggregates into one NCCL group call; :func:`dense_plan` computes
+exactly those overlap segments for any grid shape, once per engine.
+
+Each phase is one stage collective over all of its groups
+(:meth:`~repro.comm.collectives.Communicator.allreduce_stage`, then
+:meth:`~repro.comm.collectives.Communicator.grouped_broadcast_stage`):
+the groups' data still moves group by group, but the cost model,
+clocks and counters are charged once per stage, bit-identically to one
+call per group.
 
 Because local IDs of a group are consecutive (paper Table 2), every
 transfer here is a contiguous state-array slice: the whole exchange
@@ -24,26 +31,54 @@ needs only offsets and lengths, no index buffers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..comm.collectives import BroadcastCall
 from ..core.engine import Engine
 
-__all__ = ["dense_push", "dense_pull", "dense_exchange", "dense_exchange_lanes"]
+__all__ = [
+    "DensePlan",
+    "dense_plan",
+    "dense_push",
+    "dense_pull",
+    "dense_exchange",
+    "dense_exchange_lanes",
+]
 
 
-def _col_views(engine: Engine, ranks, name: str) -> list[np.ndarray]:
-    return [engine.ctx(r).get(name)[engine.ctx(r).col_slice] for r in ranks]
+@dataclass(frozen=True)
+class _Segment:
+    """One broadcast of a group's second phase: the root's ``src``
+    window slice goes to each ``(rank, slice)`` destination."""
+
+    root: int
+    src: slice
+    dests: tuple[tuple[int, slice], ...]
 
 
-def _row_views(engine: Engine, ranks, name: str) -> list[np.ndarray]:
-    return [engine.ctx(r).get(name)[engine.ctx(r).row_slice] for r in ranks]
+@dataclass(frozen=True)
+class DensePlan:
+    """Everything a dense exchange needs besides the state's values.
+
+    One AllReduce stage over ``reduce_groups`` on each rank's
+    ``reduce_window``, then one grouped-broadcast stage over
+    ``bcast_groups`` whose group ``g`` runs the ``segments[g]``
+    broadcasts.  A pure function of the engine's partition and grid,
+    so it is built once per engine (and per direction).
+    """
+
+    reduce_groups: np.ndarray
+    reduce_window: tuple[slice, ...]
+    reduce_share: int
+    bcast_groups: np.ndarray
+    segments: tuple[tuple[_Segment, ...], ...]
+    bcast_share: int
 
 
-def _overlap_broadcasts(
-    engine: Engine, name: str, along: str, group_id: int
-) -> tuple[list[int], list[BroadcastCall]]:
-    """Broadcast calls distributing reduced values across one group.
+def _segments(engine: Engine, along: str, group_id: int) -> tuple[_Segment, ...]:
+    """Broadcasts distributing reduced values across one group.
 
     ``along="row"``: within row group ``group_id``, each rank holding a
     column range that overlaps the group's row range roots a broadcast
@@ -54,89 +89,101 @@ def _overlap_broadcasts(
     everyone's *col* window (pull second phase).
     """
     part, grid = engine.partition, engine.grid
-    calls: list[BroadcastCall] = []
     if along == "row":
         ranks = grid.row_group_ranks(group_id)
         gs, ge = part.row_range(group_id)
-        for id_c in range(grid.R):
-            cs, ce = part.col_range(id_c)
-            lo, hi = max(gs, cs), min(ge, ce)
-            if lo >= hi:
-                continue
-            root = grid.rank_of(group_id, id_c)
-            lm_root = engine.ctx(root).localmap
-            src = engine.ctx(root).get(name)[
-                lm_root.col_offset + (lo - cs) : lm_root.col_offset + (hi - cs)
-            ]
-            dests = []
-            for r in ranks:
-                if r == root:
-                    # Overlap GIDs share one LID on the root (its map
-                    # Type is 1/2 there), so its row window already
-                    # holds the reduced values.
-                    continue
-                lm = engine.ctx(r).localmap
-                dests.append(
-                    engine.ctx(r).get(name)[
-                        lm.row_offset + (lo - gs) : lm.row_offset + (hi - gs)
-                    ]
-                )
-            calls.append(BroadcastCall(src=src, dests=dests))
-        return ranks, calls
-
-    if along == "col":
+        others = [
+            (part.col_range(j), grid.rank_of(group_id, j)) for j in range(grid.R)
+        ]
+    else:
         ranks = grid.col_group_ranks(group_id)
         gs, ge = part.col_range(group_id)
-        for id_r in range(grid.C):
-            rs, re = part.row_range(id_r)
-            lo, hi = max(gs, rs), min(ge, re)
-            if lo >= hi:
+        others = [
+            (part.row_range(i), grid.rank_of(i, group_id)) for i in range(grid.C)
+        ]
+    out = []
+    for (os_, oe), root in others:
+        lo, hi = max(gs, os_), min(ge, oe)
+        if lo >= hi:
+            continue
+        lm_root = engine.ctx(root).localmap
+        # The root reads its opposite window; every other member
+        # writes its own ``along`` window.  Overlap GIDs share one LID
+        # on the root (its map Type is 1/2 there), so the root's own
+        # ``along`` window already holds the reduced values.
+        src_off = lm_root.col_offset if along == "row" else lm_root.row_offset
+        dests = []
+        for r in ranks:
+            if r == root:
                 continue
-            root = grid.rank_of(id_r, group_id)
-            lm_root = engine.ctx(root).localmap
-            src = engine.ctx(root).get(name)[
-                lm_root.row_offset + (lo - rs) : lm_root.row_offset + (hi - rs)
-            ]
-            dests = []
-            for r in ranks:
-                if r == root:
-                    continue
-                lm = engine.ctx(r).localmap
-                dests.append(
-                    engine.ctx(r).get(name)[
-                        lm.col_offset + (lo - gs) : lm.col_offset + (hi - gs)
-                    ]
-                )
-            calls.append(BroadcastCall(src=src, dests=dests))
-        return ranks, calls
+            lm = engine.ctx(r).localmap
+            off = lm.row_offset if along == "row" else lm.col_offset
+            dests.append((r, slice(off + (lo - gs), off + (hi - gs))))
+        src = slice(src_off + (lo - os_), src_off + (hi - os_))
+        out.append(_Segment(root, src, tuple(dests)))
+    return tuple(out)
 
-    raise ValueError(f"along must be 'row' or 'col', got {along!r}")
+
+def dense_plan(engine: Engine, direction: str) -> DensePlan:
+    """The engine's cached :class:`DensePlan` for ``"push"`` (column
+    AllReduce, row broadcasts) or ``"pull"`` (row AllReduce, column
+    broadcasts); a regridded engine builds its own."""
+    if direction not in ("push", "pull"):
+        raise ValueError(f"direction must be 'push' or 'pull', got {direction!r}")
+    plan = engine._dense_plans.get(direction)
+    if plan is None:
+        grid = engine.grid
+        reduce_axis, bcast_axis = (
+            ("col", "row") if direction == "push" else ("row", "col")
+        )
+        plan = engine._dense_plans[direction] = DensePlan(
+            reduce_groups=getattr(grid, f"{reduce_axis}_group_matrix"),
+            reduce_window=tuple(
+                getattr(ctx, f"{reduce_axis}_slice") for ctx in engine
+            ),
+            reduce_share=engine.stage_nic_sharing(reduce_axis),
+            bcast_groups=getattr(grid, f"{bcast_axis}_group_matrix"),
+            segments=tuple(
+                _segments(engine, bcast_axis, g)
+                for g in range(grid.C if bcast_axis == "row" else grid.R)
+            ),
+            bcast_share=engine.stage_nic_sharing(bcast_axis),
+        )
+    return plan
+
+
+def _run(engine: Engine, plan: DensePlan, name: str, op: str) -> None:
+    """One AllReduce stage, then one grouped-broadcast stage."""
+    states = [ctx.get(name) for ctx in engine]
+    engine.comm.allreduce_stage(
+        plan.reduce_groups,
+        [s[w] for s, w in zip(states, plan.reduce_window)],
+        op=op,
+        nic_sharing=plan.reduce_share,
+    )
+    calls = [
+        [
+            BroadcastCall(
+                src=states[seg.root][seg.src],
+                dests=[states[r][sl] for r, sl in seg.dests],
+            )
+            for seg in group
+        ]
+        for group in plan.segments
+    ]
+    engine.comm.grouped_broadcast_stage(
+        plan.bcast_groups, calls, nic_sharing=plan.bcast_share
+    )
 
 
 def dense_push(engine: Engine, name: str, op: str = "min") -> None:
     """Dense push: column-group AllReduce, then row-group Broadcasts."""
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
-    for _, ranks in engine.col_groups():
-        engine.comm.allreduce(
-            ranks, _col_views(engine, ranks, name), op=op, nic_sharing=col_share
-        )
-    for id_r, _ in engine.row_groups():
-        ranks, calls = _overlap_broadcasts(engine, name, "row", id_r)
-        engine.comm.grouped_broadcast(ranks, calls, nic_sharing=row_share)
+    _run(engine, dense_plan(engine, "push"), name, op)
 
 
 def dense_pull(engine: Engine, name: str, op: str = "sum") -> None:
     """Dense pull: row-group AllReduce, then column-group Broadcasts."""
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
-    for _, ranks in engine.row_groups():
-        engine.comm.allreduce(
-            ranks, _row_views(engine, ranks, name), op=op, nic_sharing=row_share
-        )
-    for id_c, _ in engine.col_groups():
-        ranks, calls = _overlap_broadcasts(engine, name, "col", id_c)
-        engine.comm.grouped_broadcast(ranks, calls, nic_sharing=col_share)
+    _run(engine, dense_plan(engine, "pull"), name, op)
 
 
 def dense_exchange(

@@ -21,26 +21,27 @@ locally-updated row vertices are unioned into the second-stage queue
 the CUDA code, but their values still must travel to the rest of the
 row group).
 
-Each stage runs in three phases: **build** every rank's send buffer,
-run the **sequential collectives** over the groups in order (they
-mutate shared counters and synchronize group clocks), and **apply**
-each group's received buffer.  :func:`sparse_push` and
+Each stage runs in three phases: **build** one rank-major send array
+(rank ``r``'s buffer is a slice of it), run **one stage collective**
+over every group
+(:meth:`~repro.comm.collectives.Communicator.allgatherv_stage`, which
+returns one receive buffer per group, shared by its members), and
+**apply** the received buffers.  :func:`sparse_push` and
 :func:`sparse_push_lanes` are *rank-fused*: the build is one gather
 over the rank-stacked state (:meth:`~repro.core.engine.Engine.stacked`)
-whose per-rank slices are the send buffers, and the apply is one
-reduction over every rank's receive indices, rank-major — each rank is
-still charged its own kernels (see "Rank-fused stages" in
-docs/PERF.md).  :func:`sparse_pull` and :func:`propagate_active_pull`
-still run per-rank closures through the rank executor
-(:mod:`repro.exec`), recycling send buffers through each rank's own
-:meth:`~repro.core.context.RankContext.scratch_pool`.  Either way the
+and the apply is one reduction over every rank's copy of its group's
+buffer, rank-major — each rank is still charged its own kernels (see
+"Rank-fused stages" and "Stage-level collectives" in docs/PERF.md).
+:func:`sparse_pull` and :func:`propagate_active_pull` still build and
+apply through per-rank closures on the rank executor
+(:mod:`repro.exec`), reading the shared group buffers.  Either way the
 result is bit-identical to the historical fully-serial interleaving.
 
-On an overlapped engine (``Engine(overlap=True)``) each stage's group
-exchanges are *issued* split-phase instead: data and counters
-materialize at issue, the apply runs against the in-flight buffers,
-and the comm-time charge lands at the trailing ``wait`` — hiding the
-apply compute behind each group's own exchange.  Values, counters,
+On an overlapped engine (``Engine(overlap=True)``) each stage is
+*issued* split-phase instead: data and counters materialize at issue,
+the apply runs against the in-flight buffers, and the comm-time charge
+lands at the trailing ``wait`` — hiding the apply compute behind the
+stage's exchanges.  Values, counters,
 and the compute/comm lanes stay bit-identical to a blocking run; only
 exposed time shrinks (see docs/MODEL.md).
 
@@ -57,6 +58,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..comm.collectives import Communicator
 from ..core.context import RankContext
 from ..core.engine import Engine
 from ..kernels import scatter_reduce, scatter_reduce_lanes, unique_bounded
@@ -66,6 +68,7 @@ __all__ = [
     "PAIR_DTYPE",
     "LaneSparseResult",
     "SparseResult",
+    "allgatherv_ranks",
     "sparse_push",
     "sparse_push_lanes",
     "sparse_pull",
@@ -95,47 +98,103 @@ class SparseResult:
     n_updated: int  # unique vertices whose state changed globally
 
 
-def _pairs(ctx: RankContext, gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A ``{gid, val}`` send buffer from the rank's own scratch pool."""
-    buf = ctx.scratch_pool(PAIR_DTYPE).take(gids.size)
+def _gather_stage(engine: Engine, groups: np.ndarray, send, bounds, nic_sharing: int):
+    """One stage of group AllGathervs, blocking or split-phase per the
+    engine; returns ``(recv, recv_bounds, handle)``.
+
+    ``recv`` is the group-major output of
+    :meth:`~repro.comm.collectives.Communicator.allgatherv_stage`
+    (group ``g``'s buffer is ``recv[recv_bounds[g]:recv_bounds[g +
+    1]]``).  With ``engine.overlap`` the stage is *issued* split-phase —
+    data and counters materialize now, the comm-time charge is deferred
+    — and the caller passes ``handle`` to :func:`_wait` after the apply
+    phase, hiding the apply compute behind the in-flight exchanges.
+    Blocking engines pay the comm charge here (``handle`` is ``None``);
+    either way the buffers are bit-identical.
+    """
+    if engine.overlap:
+        h = engine.comm.start_allgatherv_stage(
+            groups, send, bounds, nic_sharing=nic_sharing
+        )
+        return (*h.result, h)
+    recv, recv_bounds = engine.comm.allgatherv_stage(
+        groups, send, bounds, nic_sharing=nic_sharing
+    )
+    return recv, recv_bounds, None
+
+
+def _wait(engine: Engine, handle) -> None:
+    """Complete an in-flight stage (no-op on blocking runs)."""
+    if handle is not None:
+        engine.comm.wait(handle)
+
+
+def _stream(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank arrays -> one rank-major send array and its bounds."""
+    Communicator._check_dtypes(range(len(parts)), parts)
+    # Naming the (checked) dtype spares NumPy a field-by-field
+    # promotion pass on structured buffers.
+    return np.concatenate(parts, dtype=parts[0].dtype), _bounds(
+        np.array([a.shape[0] for a in parts], dtype=np.int64)
+    )
+
+
+def _rank_views(groups: np.ndarray, recv: np.ndarray, rb: np.ndarray) -> list:
+    """Group-major stage output -> every rank's receive buffer, one
+    view per group shared by its members (as :meth:`allgatherv`
+    shares its result)."""
+    out: list = [None] * groups.size
+    for g, ranks in enumerate(groups.tolist()):
+        buf = recv[rb[g] : rb[g + 1]]
+        for r in ranks:
+            out[r] = buf
+    return out
+
+
+def _replicated(
+    groups: np.ndarray, recv: np.ndarray, rb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group-major stage output -> the rank-major replicated stream
+    (rank ``r``'s slice is its group's buffer) and its ``(p + 1,)``
+    bounds, for an apply that runs over every rank's state at once."""
+    row_of = np.empty(groups.size, dtype=np.int64)
+    row_of[groups] = np.arange(groups.shape[0])[:, None]
+    lengths = np.diff(rb)[row_of]
+    bounds = _bounds(lengths)
+    idx = np.repeat(rb[:-1][row_of] - bounds[:-1], lengths)
+    idx += np.arange(idx.size)
+    return np.take(recv, idx, axis=0), bounds
+
+
+def _gather_ranks(engine: Engine, groups: np.ndarray, parts, nic_sharing: int):
+    """:func:`_gather_stage` of per-rank ``parts``; returns every rank's
+    receive buffer (see :func:`_rank_views`) and the handle."""
+    recv, rb, handle = _gather_stage(engine, groups, *_stream(parts), nic_sharing)
+    return _rank_views(groups, recv, rb), handle
+
+
+def allgatherv_ranks(
+    engine: Engine, groups: np.ndarray, parts: list[np.ndarray]
+) -> list[np.ndarray]:
+    """One blocking stage AllGatherv of per-rank ``parts`` over the rows
+    of ``groups``; returns every rank's receive buffer.
+
+    The stage form of one ``engine.comm.allgatherv(ranks, [parts[r] for
+    r in ranks])`` per group: the members of a group share one buffer,
+    their parts concatenated in group-row order, with the same
+    accounting.
+    """
+    return _rank_views(
+        groups, *engine.comm.allgatherv_stage(groups, *_stream(parts))
+    )
+
+
+def _pairs(gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """A ``{gid, val}`` send buffer."""
+    buf = np.empty(gids.size, dtype=PAIR_DTYPE)
     buf["gid"] = gids
     buf["val"] = vals
     return buf
-
-
-def _give_back(engine: Engine, sbufs_all: list[np.ndarray], ranks: list[int]) -> None:
-    """Return the given ranks' send buffers to their own pools."""
-    for r in ranks:
-        engine.ctx(r).scratch_pool(PAIR_DTYPE).give(sbufs_all[r])
-
-
-def _group_allgatherv(
-    engine: Engine,
-    ranks: list[int],
-    sbufs: list[np.ndarray],
-    nic_sharing: int,
-    handles: list,
-) -> np.ndarray:
-    """One group's AllGatherv, blocking or split-phase per the engine.
-
-    With ``engine.overlap`` the exchange is *issued* split-phase — data
-    and counters materialize now, the comm-time charge is deferred — and
-    the handle is appended to ``handles`` for the caller to wait after
-    the apply phase, hiding the apply compute behind the in-flight
-    exchange.  Blocking engines pay the comm charge here, exactly as
-    before; either way the returned buffer is bit-identical.
-    """
-    if engine.overlap:
-        h = engine.comm.start_allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
-        handles.append(h)
-        return h.result
-    return engine.comm.allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
-
-
-def _wait_all(engine: Engine, handles: list) -> None:
-    """Complete every in-flight exchange (no-op on blocking runs)."""
-    for h in handles:
-        engine.comm.wait(h)
 
 
 def _apply_op(
@@ -171,34 +230,6 @@ def _bounds(lengths: np.ndarray) -> np.ndarray:
 def _split(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
     """Rank-major ``values`` cut into per-rank slices at ``bounds``."""
     return [values[bounds[r] : bounds[r + 1]] for r in range(bounds.size - 1)]
-
-
-def _exchange(
-    engine: Engine,
-    groups,
-    sbufs: list[np.ndarray],
-    nic_sharing: int,
-    handles: list,
-) -> list[np.ndarray]:
-    """Each group's AllGatherv, sequential and in group order; returns
-    every rank's receive buffer (group members share one array)."""
-    rbuf_of: list = [None] * engine.n_ranks
-    for _, ranks in groups:
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs[r] for r in ranks], nic_sharing, handles
-        )
-        for r in ranks:
-            rbuf_of[r] = rbuf
-    return rbuf_of
-
-
-def _received(rbuf_of: list[np.ndarray], shift: np.ndarray):
-    """Rank-major replicated receive stream: every rank's buffer in rank
-    order, with its GIDs turned into stacked state indices (``gid +
-    shift[rank]``).  Returns ``(stacked_idx, records, lengths)``."""
-    lengths = np.array([b.size for b in rbuf_of], dtype=np.int64)
-    recs = np.concatenate(rbuf_of, dtype=rbuf_of[0].dtype)
-    return recs["gid"] + np.repeat(shift, lengths), recs, lengths
 
 
 def _stacked_queues(queues, base: np.ndarray):
@@ -248,12 +279,12 @@ def sparse_push(
     send = np.empty(q_idx.size, dtype=PAIR_DTYPE)
     send["gid"] = q_idx - np.repeat(lay.col_shift, q_len)
     send["val"] = state[q_idx]
-    handles: list = []
-    rbuf_of = _exchange(
-        engine, engine.col_groups(), _split(send, _bounds(q_len)), col_share, handles
-    )
-    lids, recs, r_len = _received(rbuf_of, lay.col_shift)
-    changed = _apply_op(state, lids, recs["val"], op, reduce_fn)
+    cols = engine.grid.col_group_matrix
+    recv, rb, handle = _gather_stage(engine, cols, send, _bounds(q_len), col_share)
+    recv, rb = _replicated(cols, recv, rb)
+    r_len = np.diff(rb)
+    lids = recv["gid"] + np.repeat(lay.col_shift, r_len)
+    changed = _apply_op(state, lids, recv["val"], op, reduce_fn)
     engine.charge_vertices_ranks(r_len)  # ReduceQueue kernel
     # Row-stage queues: changed ghosts plus each rank's own local
     # updates, restricted to row-owned vertices, deduplicated per rank
@@ -269,32 +300,31 @@ def sparse_push(
     row_bounds = np.searchsorted(comp, np.arange(p + 1) * n_v)
     row_len = np.diff(row_bounds)
     row_gids = comp - np.repeat(np.arange(p) * n_v, row_len)
-    _wait_all(engine, handles)
+    _wait(engine, handle)
 
     # ---- stage 2: exchange final values along each row group --------
     engine.charge_vertices_ranks(row_len)
     send = np.empty(row_gids.size, dtype=PAIR_DTYPE)
     send["gid"] = row_gids
     send["val"] = state[row_gids + np.repeat(lay.row_shift, row_len)]
-    handles = []
-    rbuf_of = _exchange(
-        engine, engine.row_groups(), _split(send, row_bounds), row_share, handles
-    )
+    rows = engine.grid.row_group_matrix
+    recv, rb, handle = _gather_stage(engine, rows, send, row_bounds, row_share)
     uniq_of: list = [None] * p
     n_updated = 0
-    for _, ranks in engine.row_groups():
-        uniq = unique_bounded(rbuf_of[ranks[0]]["gid"], n_v)
+    for g, ranks in enumerate(rows.tolist()):
+        uniq = unique_bounded(recv["gid"][rb[g] : rb[g + 1]], n_v)
         n_updated += int(uniq.size)
         for r in ranks:
             uniq_of[r] = uniq
     # Values are final after the column reduction; assignment (each
     # vertex appears from exactly one root rank).
-    lids, recs, r_len = _received(rbuf_of, lay.row_shift)
-    state[lids] = recs["val"]
+    recv, rb = _replicated(rows, recv, rb)
+    r_len = np.diff(rb)
+    state[recv["gid"] + np.repeat(lay.row_shift, r_len)] = recv["val"]
     engine.charge_vertices_ranks(r_len)
     to_lid = lay.row_offset - lay.row_start
     active_row = [uniq_of[r] + to_lid[r] for r in range(p)]
-    _wait_all(engine, handles)
+    _wait(engine, handle)
     return SparseResult(active_row=active_row, n_updated=n_updated)
 
 
@@ -357,13 +387,13 @@ def sparse_push_lanes(
     send["lane"] = q_lane
     send["val"] = state[q_idx, q_lane]
     q_bounds = _bounds(q_len)
-    handles: list = []
-    rbuf_of = _exchange(
-        engine, engine.col_groups(), _split(send, q_bounds), col_share, handles
-    )
-    lids, recs, r_len = _received(rbuf_of, lay.col_shift)
+    cols = engine.grid.col_group_matrix
+    recv, rb, handle = _gather_stage(engine, cols, send, q_bounds, col_share)
+    recv, rb = _replicated(cols, recv, rb)
+    r_len = np.diff(rb)
+    lids = recv["gid"] + np.repeat(lay.col_shift, r_len)
     ch_idx, ch_lane = scatter_reduce_lanes(
-        state, lids, recs["val"], op, lanes=recs["lane"]
+        state, lids, recv["val"], op, lanes=recv["lane"]
     )
     engine.charge_vertices_ranks(r_len)  # ReduceQueue kernel
     # ``ch_idx`` ascends, so rank boundaries are a searchsorted away.
@@ -394,7 +424,7 @@ def sparse_push_lanes(
     within = comp - np.repeat(np.arange(p) * span, row_len)
     row_gids = within % n_v
     row_lanes = within // n_v
-    _wait_all(engine, handles)
+    _wait(engine, handle)
 
     # ---- stage 2: exchange final values along each row group --------
     engine.charge_vertices_ranks(row_len)
@@ -402,26 +432,25 @@ def sparse_push_lanes(
     send["gid"] = row_gids
     send["lane"] = row_lanes
     send["val"] = state[row_gids + np.repeat(lay.row_shift, row_len), row_lanes]
-    handles = []
-    rbuf_of = _exchange(
-        engine, engine.row_groups(), _split(send, row_bounds), row_share, handles
-    )
+    rows = engine.grid.row_group_matrix
+    recv, rb, handle = _gather_stage(engine, rows, send, row_bounds, row_share)
     uniq_of: list = [None] * p
     n_updated = np.zeros(k, dtype=np.int64)
-    for _, ranks in engine.row_groups():
-        rbuf = rbuf_of[ranks[0]]
+    for g, ranks in enumerate(rows.tolist()):
+        rbuf = recv[rb[g] : rb[g + 1]]
         uniq = unique_bounded(rbuf["lane"] * n_v + rbuf["gid"], span)
         cells = (uniq % n_v, uniq // n_v)
         n_updated += np.bincount(cells[1], minlength=k)
         for r in ranks:
             uniq_of[r] = cells
     # Values are final after the column reduction; assignment.
-    lids, recs, r_len = _received(rbuf_of, lay.row_shift)
-    state[lids, recs["lane"]] = recs["val"]
+    recv, rb = _replicated(rows, recv, rb)
+    r_len = np.diff(rb)
+    state[recv["gid"] + np.repeat(lay.row_shift, r_len), recv["lane"]] = recv["val"]
     engine.charge_vertices_ranks(r_len)
     to_lid = lay.row_offset - lay.row_start
     active_row = [(uniq_of[r][0] + to_lid[r], uniq_of[r][1]) for r in range(p)]
-    _wait_all(engine, handles)
+    _wait(engine, handle)
     return LaneSparseResult(
         active_row=active_row, n_updated=n_updated, active_col=active_col
     )
@@ -447,25 +476,16 @@ def sparse_pull(
     def build_row(ctx: RankContext) -> np.ndarray:
         q = np.asarray(queues[ctx.rank], dtype=np.int64)
         engine.charge_vertices(ctx.rank, q.size)
-        state = ctx.get(name)
-        return _pairs(ctx, ctx.localmap.row_gid(q), state[q])
+        return _pairs(ctx.localmap.row_gid(q), ctx.get(name)[q])
 
-    sbufs_all = engine.map_ranks(build_row)
-
-    handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    row_bufs, handle = _gather_ranks(
+        engine, grid.row_group_matrix, engine.map_ranks(build_row), row_share
+    )
 
     def apply_row(ctx: RankContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lm = ctx.localmap
         state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
+        rbuf = row_bufs[ctx.rank]
         lids = lm.row_lid(rbuf["gid"])
         changed = _apply_op(state, lids, rbuf["val"], op, reduce_fn)
         engine.charge_vertices(ctx.rank, rbuf.size)
@@ -480,7 +500,7 @@ def sparse_pull(
         return cand, cand[lm.owns_col_gid(cand)], lm.row_lid(cand)
 
     applied = engine.map_ranks(apply_row)
-    _wait_all(engine, handles)
+    _wait(engine, handle)
     col_queues_gids = [a[1] for a in applied]
     active_row = [a[2] for a in applied]
     # ``cand`` is identical on every member of a row group, so each
@@ -491,33 +511,22 @@ def sparse_pull(
 
     # ---- stage 2: refresh ghosts along each column group ------------
     def build_col(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
         gids = col_queues_gids[ctx.rank]
         engine.charge_vertices(ctx.rank, gids.size)
-        state = ctx.get(name)
-        return _pairs(ctx, gids, state[lm.row_lid(gids)])
+        return _pairs(gids, ctx.get(name)[ctx.localmap.row_lid(gids)])
 
-    sbufs_all = engine.map_ranks(build_col)
-
-    handles = []
-    rbuf_of = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    col_bufs, handle = _gather_ranks(
+        engine, grid.col_group_matrix, engine.map_ranks(build_col), col_share
+    )
 
     def apply_col(ctx: RankContext) -> None:
-        lm = ctx.localmap
         state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        state[lm.col_lid(rbuf["gid"])] = rbuf["val"]
+        rbuf = col_bufs[ctx.rank]
+        state[ctx.localmap.col_lid(rbuf["gid"])] = rbuf["val"]
         engine.charge_vertices(ctx.rank, rbuf.size)
 
     engine.foreach(apply_col)
-    _wait_all(engine, handles)
+    _wait(engine, handle)
     return SparseResult(active_row=active_row, n_updated=n_updated)
 
 
@@ -549,41 +558,30 @@ def propagate_active_pull(
     neighbor_gids = engine.map_ranks(expand_neighbors)
 
     # Column stage: route neighbor GIDs to their row owners.
-    handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [neighbor_gids[r] for r in ranks], col_share, handles
-        )
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    col_bufs, handle = _gather_ranks(
+        engine, grid.col_group_matrix, neighbor_gids, col_share
+    )
 
     def keep_owned(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        rbuf = rbuf_of[ctx.rank]
+        rbuf = col_bufs[ctx.rank]
         engine.charge_vertices(ctx.rank, rbuf.size)
-        return np.unique(rbuf[lm.owns_row_gid(rbuf)])
+        return np.unique(rbuf[ctx.localmap.owns_row_gid(rbuf)])
 
     partial = engine.map_ranks(keep_owned)
-    _wait_all(engine, handles)
+    _wait(engine, handle)
 
     # Row stage: union into a row-group-consistent active queue.
-    handles = []
+    row_bufs, handle = _gather_ranks(engine, grid.row_group_matrix, partial, row_share)
     merged_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    rbuf_sizes = [0] * grid.n_ranks
     for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [partial[r] for r in ranks], row_share, handles
-        )
-        merged = np.unique(rbuf)
+        merged = np.unique(row_bufs[ranks[0]])
         for r in ranks:
             merged_of[r] = merged
-            rbuf_sizes[r] = rbuf.size
 
     def to_active(ctx: RankContext) -> np.ndarray:
-        engine.charge_vertices(ctx.rank, rbuf_sizes[ctx.rank])
+        engine.charge_vertices(ctx.rank, row_bufs[ctx.rank].size)
         return ctx.localmap.row_lid(merged_of[ctx.rank])
 
     active = engine.map_ranks(to_active)
-    _wait_all(engine, handles)
+    _wait(engine, handle)
     return active

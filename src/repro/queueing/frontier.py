@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["StackedCSR", "expand_csr", "expand_block"]
 
@@ -125,6 +126,18 @@ class StackedCSR:
             row_start=row_start,
             row_stop=np.array([lm.row_stop for lm in maps], dtype=np.int64),
         )
+
+    def adjacency(self) -> sp.csr_matrix:
+        """The stacked CSR as a unit-valued SciPy matrix (stacked rows x
+        stacked state), for one sparse matrix-vector product over every
+        rank's edges.  Built anew on each call, so a caller holds it only
+        while it uses it.  It shares this CSR's int64 index arrays (the
+        constructor would copy them down to int32), so it costs only its
+        unit values, 8 bytes per edge."""
+        m = sp.csr_matrix((int(self.row_base[-1]), int(self.state_base[-1])))
+        m.indptr, m.indices = self.indptr, self.indices
+        m.data = np.ones(self.indices.size)
+        return m
 
     def unstack(self, idx: np.ndarray, lanes=None) -> list:
         """Ascending stacked state indices -> per-rank local LIDs.

@@ -1,4 +1,4 @@
-"""Bit-identity digests of the sparse-push algorithms, per case.
+"""Bit-identity digests of the exchange-heavy algorithms, per case.
 
 Each case runs one algorithm on one grid and hashes everything a
 change to the simulator's host-side execution must leave untouched:
@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import Engine
-from repro.algorithms.batch import bfs_batch, sssp_batch
+from repro.algorithms.batch import bfs_batch, pagerank_batch, sssp_batch
 from repro.algorithms.bfs import bfs
 from repro.algorithms.components import connected_components
 from repro.algorithms.matching import max_weight_matching
+from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import sssp
 from repro.comm.grid import Grid2D
 from repro.graph import path_graph, rmat, web_graph
@@ -64,17 +65,31 @@ def _roots(graph, k: int) -> list[int]:
     return [int(v) for v in order[:k]]
 
 
+def _personalization(graph) -> np.ndarray:
+    """A deterministic teleport vector with zeros and unequal weights."""
+    return (np.arange(graph.n_vertices) % 4).astype(np.float64)
+
+
 def _algorithms(graph) -> dict:
     r1 = _roots(graph, 1)[0]
     return {
         "cc_push_switch": lambda e: connected_components(e),
         "cc_push_sparse": lambda e: connected_components(e, mode="sparse"),
+        "cc_push_dense": lambda e: connected_components(e, mode="dense"),
+        "cc_pull_switch": lambda e: connected_components(e, direction="pull"),
         "bfs": lambda e: bfs(e, r1),
         "bfs_batch_k3": lambda e: bfs_batch(e, _roots(graph, 3)),
         "bfs_batch_k8": lambda e: bfs_batch(e, _roots(graph, 8)),
         "sssp": lambda e: sssp(e, r1),
         "sssp_batch_k3": lambda e: sssp_batch(e, _roots(graph, 3)),
         "matching": lambda e: max_weight_matching(e),
+        "pagerank": lambda e: pagerank(e),
+        "pagerank_personalized": lambda e: pagerank(
+            e, personalization=_personalization(graph)
+        ),
+        "pagerank_weighted": lambda e: pagerank(e, weighted=True),
+        "pagerank_tol": lambda e: pagerank(e, tol=1e-6),
+        "pagerank_batch_k3": lambda e: pagerank_batch(e, _roots(graph, 3)),
     }
 
 

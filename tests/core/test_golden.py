@@ -1,10 +1,14 @@
-"""Golden bit-identity: the sparse-push algorithms reproduce recorded
+"""Golden bit-identity: the exchange-heavy algorithms reproduce recorded
 digests of values, per-rank clock lanes, iteration marks and counters.
 
 The digests were recorded with the per-rank (one closure per rank per
 stage) superstep code, so they pin the rank-fused passes to exactly the
 numbers the per-rank code produced — on square, R != C and 1x1 grids,
-blocking and overlapped, and with empty rank blocks.  The four
+blocking and overlapped, and with empty rank blocks.  The PageRank
+(plain, personalized, weighted, ``tol``, batched) and dense/pull CC
+digests were recorded with one collective call per group and
+per-rank PageRank closures, so they pin the stage collectives and the
+rank-fused PageRank superstep the same way.  The four
 ``rmat8-2x8-*-bfs_batch_*`` digests were recorded after the R < C
 frontier-aliasing fix in ``bfs_batch`` (the per-rank code crashed
 there); ``test_batch_matches_single_source_on_wide_grid`` pins their

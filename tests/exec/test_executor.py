@@ -164,6 +164,21 @@ class TestThreadedExecutor:
         ex.close()
         ex.close()
 
+    def test_finalizer_does_not_join_workers(self):
+        """Collecting an executor from inside a thread's start-up must
+        not deadlock: the finalizer releases the pool without joining."""
+        ex = ThreadedExecutor(max_workers=2)
+        ex.map(lambda x: x, [1, 2])
+        pool = ex._pool
+        waits = []
+        pool.shutdown = lambda wait=True, **kw: waits.append(wait)
+        try:
+            ex.__del__()
+            assert waits == [False]
+        finally:
+            del pool.shutdown
+            pool.shutdown(wait=True)
+
     def test_is_rank_executor(self):
         assert isinstance(ThreadedExecutor(max_workers=2), RankExecutor)
         assert isinstance(SerialExecutor(), RankExecutor)
